@@ -21,7 +21,7 @@
 //! `Ω(√n / log n)` rounds.
 
 use dradio_graphs::topology::Bracelet;
-use dradio_graphs::{Edge, NodeId};
+use dradio_graphs::NodeId;
 use dradio_sim::{
     Action, AdversaryClass, AdversarySetup, AdversaryView, Feedback, LinkDecision, LinkProcess,
     ProcessContext, Round,
@@ -57,7 +57,8 @@ pub struct BraceletOblivious {
     config: BraceletConfig,
     /// Per-round label computed at `on_start`: `true` means dense.
     dense_rounds: Vec<bool>,
-    dynamic_edges: Vec<Edge>,
+    /// Every dynamic edge of the network (set by `on_start`).
+    all_dynamic: LinkDecision,
     horizon: usize,
 }
 
@@ -79,7 +80,7 @@ impl BraceletOblivious {
             bands,
             config,
             dense_rounds: Vec::new(),
-            dynamic_edges: Vec::new(),
+            all_dynamic: LinkDecision::none(),
             horizon: bracelet.band_length(),
         }
     }
@@ -162,7 +163,7 @@ impl LinkProcess for BraceletOblivious {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, rng: &mut dyn RngCore) {
-        self.dynamic_edges = setup.dual.dynamic_edges();
+        self.all_dynamic = LinkDecision::all_dynamic(setup.dual);
         let horizon = self.horizon.min(setup.horizon);
         // Evaluate every band's isolated broadcast function on fresh support
         // sequences.
@@ -187,14 +188,14 @@ impl LinkProcess for BraceletOblivious {
             None => self.config.after_horizon_all,
         };
         if dense {
-            LinkDecision::from_edges(self.dynamic_edges.clone())
+            self.all_dynamic.clone()
         } else {
             LinkDecision::none()
         }
     }
 
     fn reset(&mut self) -> bool {
-        // `dynamic_edges` and the dense-round labels are recomputed by
+        // `all_dynamic` and the dense-round labels are recomputed by
         // `on_start` (from the adversary stream of the next execution's
         // seed); the band structure and config are immutable.
         true

@@ -11,8 +11,7 @@
 //! RNG stream, fixed independently of the execution, and could equivalently
 //! have been tabulated before round 0.
 
-use dradio_graphs::Edge;
-use dradio_sim::sampling::bernoulli;
+use dradio_sim::sampling::{bernoulli, bernoulli_threshold};
 use dradio_sim::{AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess};
 use rand::RngCore;
 
@@ -29,7 +28,8 @@ use rand::RngCore;
 #[derive(Debug, Clone)]
 pub struct IidLinks {
     p: f64,
-    dynamic: Vec<Edge>,
+    /// Number of grey edges of the network (set by `on_start`).
+    grey: usize,
 }
 
 impl IidLinks {
@@ -38,7 +38,7 @@ impl IidLinks {
     pub fn new(p: f64) -> Self {
         IidLinks {
             p: p.clamp(0.0, 1.0),
-            dynamic: Vec::new(),
+            grey: 0,
         }
     }
 
@@ -54,21 +54,45 @@ impl LinkProcess for IidLinks {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, _rng: &mut dyn RngCore) {
-        self.dynamic = setup.dual.dynamic_edges();
+        self.grey = setup.dual.grey_table().len();
     }
 
+    /// One coin per grey edge in id (canonical) order, drawn exactly as
+    /// `bernoulli(rng, p)` would draw it — one `next_u64` per edge, none at
+    /// all when `p` is 0 or 1 — but 64 at a time with one `fill_bytes` per
+    /// mask word and compared against the integer threshold without
+    /// branching.
+    // lint: hot-path
     fn decide(&mut self, _view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> LinkDecision {
-        let edges = self
-            .dynamic
-            .iter()
-            .copied()
-            .filter(|_| bernoulli(rng, self.p))
-            .collect();
-        LinkDecision::from_edges(edges)
+        if self.p >= 1.0 {
+            return LinkDecision::all_grey(self.grey);
+        }
+        // lint: allow(D3) -- the decision owns its mask (one word per 64 grey
+        // edges) because `decide` returns by value
+        let mut mask = vec![0u64; self.grey.div_ceil(64)];
+        if self.p > 0.0 {
+            let threshold = bernoulli_threshold(self.p);
+            let mut coins = [0u8; 8 * 64];
+            for (w, word) in mask.iter_mut().enumerate() {
+                // Every chunk is whole words, so the chunked fills consume
+                // the same `next_u64` stream as one fill over all edges.
+                let coins = &mut coins[..8 * (self.grey - 64 * w).min(64)];
+                rng.fill_bytes(coins);
+                let mut bits = 0u64;
+                for (i, coin) in coins.chunks_exact(8).enumerate() {
+                    let mut x = [0u8; 8];
+                    x.copy_from_slice(coin);
+                    bits |= u64::from((u64::from_le_bytes(x) >> 11) < threshold) << i;
+                }
+                *word = bits;
+            }
+        }
+        LinkDecision::from_grey_mask(mask)
     }
+    // lint: end-hot-path
 
     fn reset(&mut self) -> bool {
-        // `dynamic` is rewritten by `on_start`; there is no other state.
+        // `grey` is rewritten by `on_start`.
         true
     }
 
@@ -88,7 +112,6 @@ pub struct GilbertElliottLinks {
     p_recover: f64,
     /// Probability of starting in the good state.
     p_start_good: f64,
-    dynamic: Vec<Edge>,
     good: Vec<bool>,
     started: bool,
 }
@@ -102,7 +125,6 @@ impl GilbertElliottLinks {
             p_fail: p_fail.clamp(0.0, 1.0),
             p_recover: p_recover.clamp(0.0, 1.0),
             p_start_good: 0.5,
-            dynamic: Vec::new(),
             good: Vec::new(),
             started: false,
         }
@@ -131,32 +153,29 @@ impl LinkProcess for GilbertElliottLinks {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, rng: &mut dyn RngCore) {
-        self.dynamic = setup.dual.dynamic_edges();
-        self.good = self
-            .dynamic
-            .iter()
+        self.good = (0..setup.dual.grey_table().len())
             .map(|_| bernoulli(rng, self.p_start_good))
             .collect();
         self.started = true;
     }
 
     fn decide(&mut self, _view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> LinkDecision {
-        let mut active = Vec::new();
-        for (i, edge) in self.dynamic.iter().enumerate() {
-            if self.good[i] {
-                active.push(*edge);
+        let mut active = vec![0u64; self.good.len().div_ceil(64)];
+        for (i, good) in self.good.iter_mut().enumerate() {
+            if *good {
+                active[i / 64] |= 1u64 << (i % 64);
                 if bernoulli(rng, self.p_fail) {
-                    self.good[i] = false;
+                    *good = false;
                 }
             } else if bernoulli(rng, self.p_recover) {
-                self.good[i] = true;
+                *good = true;
             }
         }
-        LinkDecision::from_edges(active)
+        LinkDecision::from_grey_mask(active)
     }
 
     fn reset(&mut self) -> bool {
-        // `dynamic`, `good`, and `started` are all rewritten by `on_start`.
+        // `good` and `started` are both rewritten by `on_start`.
         true
     }
 

@@ -19,7 +19,6 @@
 //! On the dual clique network this forces `Ω(n / log n)` rounds for both
 //! global and local broadcast (Figure 1 row 2), which experiment E5 measures.
 
-use dradio_graphs::Edge;
 use dradio_sim::process::log2_ceil;
 use dradio_sim::{AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess};
 use rand::RngCore;
@@ -29,7 +28,8 @@ use rand::RngCore;
 pub struct DenseSparseOnline {
     density_factor: f64,
     threshold: f64,
-    dynamic_edges: Vec<Edge>,
+    /// Every dynamic edge of the network (set by `on_start`).
+    all_dynamic: LinkDecision,
     dense_rounds_seen: usize,
     sparse_rounds_seen: usize,
 }
@@ -42,7 +42,7 @@ impl DenseSparseOnline {
         DenseSparseOnline {
             density_factor: density_factor.max(0.1),
             threshold: 0.0,
-            dynamic_edges: Vec::new(),
+            all_dynamic: LinkDecision::none(),
             dense_rounds_seen: 0,
             sparse_rounds_seen: 0,
         }
@@ -76,7 +76,7 @@ impl LinkProcess for DenseSparseOnline {
     }
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, _rng: &mut dyn RngCore) {
-        self.dynamic_edges = setup.dual.dynamic_edges();
+        self.all_dynamic = LinkDecision::all_dynamic(setup.dual);
         self.threshold = self.density_factor * log2_ceil(setup.dual.len().max(2)).max(1) as f64;
     }
 
@@ -84,7 +84,7 @@ impl LinkProcess for DenseSparseOnline {
         let expected = view.expected_transmitters().unwrap_or(0.0);
         if expected > self.threshold {
             self.dense_rounds_seen += 1;
-            LinkDecision::from_edges(self.dynamic_edges.clone())
+            self.all_dynamic.clone()
         } else {
             self.sparse_rounds_seen += 1;
             LinkDecision::none()

@@ -1,10 +1,12 @@
 //! The dual graph `(G, G')` network model.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::error::GraphError;
 use crate::geometry::Embedding;
 use crate::graph::{Edge, Graph, GraphBackend};
+use crate::grey::GreyTable;
 use crate::node::NodeId;
 use crate::Result;
 
@@ -40,6 +42,35 @@ pub struct DualGraph {
     g_prime: Graph,
     embedding: Option<Embedding>,
     name: String,
+    grey: GreyCache,
+}
+
+/// The lazily built [`GreyTable`] of a dual graph. Derived data: it takes no
+/// part in equality, and a clone starts empty and rebuilds on first use.
+#[derive(Default)]
+struct GreyCache(OnceLock<GreyTable>);
+
+impl Clone for GreyCache {
+    fn clone(&self) -> Self {
+        GreyCache::default()
+    }
+}
+
+impl PartialEq for GreyCache {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for GreyCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = if self.0.get().is_some() {
+            "built"
+        } else {
+            "unbuilt"
+        };
+        write!(f, "GreyCache({state})")
+    }
 }
 
 impl DualGraph {
@@ -67,6 +98,7 @@ impl DualGraph {
             g_prime,
             embedding: None,
             name: String::from("dual"),
+            grey: GreyCache::default(),
         })
     }
 
@@ -78,6 +110,7 @@ impl DualGraph {
             g,
             embedding: None,
             name: String::from("static"),
+            grey: GreyCache::default(),
         }
     }
 
@@ -161,19 +194,26 @@ impl DualGraph {
             g_prime: self.g_prime.with_backend(backend),
             embedding: self.embedding.clone(),
             name: self.name.clone(),
+            grey: GreyCache::default(),
         }
     }
 
-    /// Returns the dynamic edges `E' \ E` in canonical order.
+    /// Returns the dynamic edges `E' \ E` in canonical order (a copy of
+    /// [`GreyTable::edges`]).
     pub fn dynamic_edges(&self) -> Vec<Edge> {
-        self.g_prime
-            .edges()
-            .into_iter()
-            .filter(|e| {
-                let (u, v) = e.endpoints();
-                !self.g.has_edge(u, v)
-            })
-            .collect()
+        self.grey_table().edges().to_vec()
+    }
+
+    /// The grey-edge table of this network: ids for the dynamic edges in
+    /// canonical order plus per-node grey adjacency.
+    ///
+    /// Built on the first call (`O(n + |E'|)`) and cached with the network,
+    /// so every executor sharing one `Arc<DualGraph>` shares one table;
+    /// constructing a dual graph never pays for it.
+    pub fn grey_table(&self) -> &GreyTable {
+        self.grey
+            .0
+            .get_or_init(|| GreyTable::build(&self.g, &self.g_prime))
     }
 
     /// Returns `true` if the containment invariant `E ⊆ E'` holds.

@@ -132,10 +132,9 @@ pub fn csr_bytes_estimate(n: usize, expected_edges: u64) -> u64 {
 
 /// One adjacency row, in whatever shape the backend stores it.
 ///
-/// Hot-path consumers (the scalar reception strategies and the batch
-/// executor's word algebra) match on this once per listener and run the
-/// backend-appropriate scan: word intersection against a packed transmitter
-/// bitset for [`NeighborRow::Dense`], a sorted neighbor walk for
+/// The batch executor's word algebra matches on this once per listener and
+/// runs the backend-appropriate scan: word intersection against a packed
+/// transmitter bitset for [`NeighborRow::Dense`], a sorted neighbor walk for
 /// [`NeighborRow::Sparse`]. Both enumerate the same neighbor set in the same
 /// ascending order.
 #[derive(Debug, Clone, Copy)]
@@ -493,11 +492,11 @@ impl Graph {
                 let b = v.index() * *words_per_row * 64 + u.index();
                 bits[a / 64] |= 1u64 << (a % 64);
                 bits[b / 64] |= 1u64 << (b % 64);
-                adjacency[u.index()].push(v);
-                adjacency[v.index()].push(u);
                 // Keep adjacency sorted so iteration order is deterministic.
-                adjacency[u.index()].sort_unstable();
-                adjacency[v.index()].sort_unstable();
+                for (a, b) in [(u, v), (v, u)] {
+                    let row = &mut adjacency[a.index()];
+                    row.insert(row.partition_point(|&x| x < b), b);
+                }
                 self.edge_count += 1;
                 Ok(true)
             }

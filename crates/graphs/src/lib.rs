@@ -8,6 +8,8 @@
 //! * [`DualGraph`] — a pair `(G, G')` of graphs over the same vertex set with
 //!   `E ⊆ E'`. Edges of `G` are *reliable*; edges of `G' \ E` are *dynamic*
 //!   and controlled by an adversarial link process at simulation time.
+//! * [`GreyTable`] — ids for the dynamic edges plus per-node grey adjacency,
+//!   built once per dual graph so link decisions can be bitmasks over ids.
 //! * [`topology`] — generators for every network used in the paper (dual
 //!   clique, bracelet, geographic/unit-disk graphs with a grey zone) plus
 //!   standard families (lines, rings, grids, trees, stars, Erdős–Rényi).
@@ -39,6 +41,7 @@ pub mod dual;
 pub mod error;
 pub mod geometry;
 pub mod graph;
+pub mod grey;
 pub mod node;
 pub mod properties;
 pub mod regions;
@@ -51,6 +54,7 @@ pub use graph::{
     auto_backend, csr_bytes_estimate, dense_bytes_estimate, CsrBuilder, Edge, Graph, GraphBackend,
     GraphBuilder, NeighborRow, DENSE_AUTO_MAX_NODES,
 };
+pub use grey::{grey_table_bytes_estimate, GreyTable};
 pub use node::NodeId;
 pub use regions::RegionDecomposition;
 

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use dradio_graphs::topology::{self, Bracelet, DualClique, GeometricConfig};
 use dradio_graphs::{
-    auto_backend, csr_bytes_estimate, dense_bytes_estimate, DualGraph, GraphBackend,
+    auto_backend, csr_bytes_estimate, dense_bytes_estimate, grey_table_bytes_estimate, DualGraph,
+    GraphBackend,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -387,10 +388,12 @@ impl TopologySpec {
     }
 
     /// The storage backend `choice` resolves to for this spec, and the
-    /// estimated bytes the built network (both layers) occupies under it.
-    /// `None` when the spec's size is not derivable
-    /// ([`TopologySpec::Custom`]). Campaign checks and fleet banners use
-    /// this to surface memory budgets before anything is built.
+    /// estimated bytes the built network occupies under it: both layers plus
+    /// the grey-edge table the first trial caches beside them, sized as if
+    /// every `G'` edge were grey (an upper bound). `None` when the spec's
+    /// size is not derivable ([`TopologySpec::Custom`]). Campaign checks and
+    /// fleet banners use this to surface memory budgets before anything is
+    /// built.
     pub fn memory_estimate(&self, choice: BackendChoice) -> Option<(GraphBackend, u64)> {
         let n = self.node_count()?;
         let m = self.expected_edges()?;
@@ -399,7 +402,12 @@ impl TopologySpec {
             GraphBackend::Dense => dense_bytes_estimate(n, m),
             GraphBackend::Csr => csr_bytes_estimate(n, m),
         };
-        Some((backend, per_layer.saturating_mul(2)))
+        Some((
+            backend,
+            per_layer
+                .saturating_mul(2)
+                .saturating_add(grey_table_bytes_estimate(n, m)),
+        ))
     }
 
     /// [`TopologySpec::build`] with the storage backend forced by `choice`

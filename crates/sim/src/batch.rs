@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use dradio_graphs::{DualGraph, Edge, Graph, GraphBackend, NeighborRow, NodeId};
+use dradio_graphs::{DualGraph, Graph, NeighborRow, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -53,7 +53,9 @@ use crate::message::MessageKind;
 use crate::metrics::Metrics;
 use crate::process::{Assignment, BatchProfile, Process, ProcessContext, ProcessFactory};
 use crate::recorder::RecordMode;
+use crate::resolve::ActiveGrey;
 use crate::round::Round;
+use crate::sampling::bernoulli_threshold;
 use crate::stop::{StopCondition, StopTracker};
 use crate::Result;
 
@@ -162,7 +164,8 @@ struct Lane {
     link: Box<dyn LinkProcess>,
     link_spent: bool,
     tracker: StopTracker,
-    active_edges: Vec<Edge>,
+    /// The lane's active grey edges this round.
+    active: ActiveGrey,
     metrics: Metrics,
     collisions_per_round: Vec<usize>,
     rounds_executed: usize,
@@ -180,7 +183,7 @@ impl Lane {
             link,
             link_spent: false,
             tracker,
-            active_edges: Vec::new(),
+            active: ActiveGrey::new(),
             metrics: Metrics::default(),
             collisions_per_round: Vec::new(),
             rounds_executed: 0,
@@ -206,19 +209,6 @@ struct Shared {
     /// `senders[u * MAX_LANES + lane]`: the unique transmitting neighbor of
     /// `u` in `lane`, valid only where `ge1 & !ge2` is set this round.
     senders: Vec<u32>,
-    /// Packed duplicate-check rows for one lane's link decision
-    /// (`words_per_row` words per node, cleared lazily between lanes; empty
-    /// on the CSR backend, which uses `dedup_lists` instead).
-    dedup_rows: Vec<u64>,
-    /// Row-word indices written into `dedup_rows` since the last clear.
-    dedup_touched: Vec<usize>,
-    /// Per-node duplicate-check lists — the CSR backend's O(n + edges)
-    /// replacement for the `dedup_rows` bit matrix, whose n × words
-    /// footprint would itself be the quadratic allocation the sparse
-    /// backend avoids. Only the canonical (lo, hi) direction is recorded.
-    dedup_lists: Vec<Vec<NodeId>>,
-    /// Node indices written into `dedup_lists` since the last clear.
-    dedup_list_touched: Vec<usize>,
     words_per_row: usize,
     /// Packed bitset over nodes: bit `u` set iff `u`'s static row is
     /// complete (degree `n - 1`) — such listeners take the subtract-self
@@ -236,10 +226,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(g: &Graph, has_dynamic_edges: bool) -> Self {
+    fn new(g: &Graph) -> Self {
         let n = g.len();
         let words_per_row = g.row_words();
-        let sparse = g.backend() == GraphBackend::Csr;
         let mut complete_rows = vec![0u64; words_per_row];
         let mut has_complete_rows = false;
         for u in 0..n {
@@ -254,18 +243,6 @@ impl Shared {
             ge1: vec![0u64; n],
             ge2: vec![0u64; n],
             senders: vec![0u32; n * MAX_LANES],
-            dedup_rows: if has_dynamic_edges && !sparse {
-                vec![0u64; n.saturating_mul(words_per_row)]
-            } else {
-                Vec::new()
-            },
-            dedup_touched: Vec::new(),
-            dedup_lists: if has_dynamic_edges && sparse {
-                vec![Vec::new(); n]
-            } else {
-                Vec::new()
-            },
-            dedup_list_touched: Vec::new(),
             words_per_row,
             complete_rows,
             has_complete_rows,
@@ -279,44 +256,6 @@ impl Shared {
             } else {
                 Vec::new()
             },
-        }
-    }
-
-    /// Marks the dynamic edge `(u, v)` (endpoints already normalized by
-    /// [`Edge`]) as seen this lane; returns `true` if it already was.
-    fn dedup_test_and_set(&mut self, u: usize, v: usize) -> bool {
-        if self.dedup_lists.is_empty() {
-            let idx = u * self.words_per_row + v / 64;
-            let bit = 1u64 << (v % 64);
-            let seen = self.dedup_rows[idx] & bit != 0;
-            if !seen {
-                if self.dedup_rows[idx] == 0 {
-                    self.dedup_touched.push(idx);
-                }
-                self.dedup_rows[idx] |= bit;
-            }
-            seen
-        } else {
-            // CSR backend: per-lane decisions stay small, so a linear probe
-            // of the node's list beats maintaining packed rows.
-            let seen = self.dedup_lists[u].contains(&NodeId::new(v));
-            if !seen {
-                if self.dedup_lists[u].is_empty() {
-                    self.dedup_list_touched.push(u);
-                }
-                self.dedup_lists[u].push(NodeId::new(v));
-            }
-            seen
-        }
-    }
-
-    /// Zeroes the duplicate-check words/lists touched since the last clear.
-    fn dedup_clear(&mut self) {
-        while let Some(idx) = self.dedup_touched.pop() {
-            self.dedup_rows[idx] = 0;
-        }
-        while let Some(u) = self.dedup_list_touched.pop() {
-            self.dedup_lists[u].clear();
         }
     }
 }
@@ -387,18 +326,6 @@ impl KernelScratch {
             t_buf: Vec::new(),
         }
     }
-}
-
-/// The integer threshold `T` with
-/// `uniform_f64(x) < rate  ⟺  (x >> 11) < T` for `0 < rate < 1`.
-///
-/// `uniform_f64` is `(x >> 11) as f64 * 2⁻⁵³`; the 53-bit integer converts
-/// exactly and the power-of-two scale is lossless, so the comparison is the
-/// real-number `k < rate·2⁵³` — which holds iff `k < ceil(rate·2⁵³)` whether
-/// or not `rate·2⁵³` is an integer. `rate·2⁵³` itself is an exact f64
-/// product (power-of-two scaling of a finite f64 below 1).
-fn bernoulli_threshold(rate: f64) -> u64 {
-    (rate * 9_007_199_254_740_992.0).ceil() as u64
 }
 
 /// One ChaCha quarter-round applied across all interleaved streams.
@@ -513,35 +440,24 @@ fn counter_flush(planes: &mut [u64; 4], out: &mut [usize; MAX_LANES]) {
     }
 }
 
-/// Runs one lane's link decision for `round`, filtering it down to genuine
-/// deduplicated dynamic edges exactly as the scalar executor does (rejected
+/// Runs one lane's link decision for `round` and resolves it into the
+/// lane's active grey mask exactly as the scalar executor does (rejected
 /// proposals are counted into the lane's metrics).
 // lint: hot-path
-fn decide_lane_edges(dual: &DualGraph, shared: &mut Shared, lane: &mut Lane, round: Round) {
-    let n = dual.len();
+fn decide_lane_edges(dual: &DualGraph, lane: &mut Lane, round: Round) {
     let decision = {
-        let view = AdversaryView::new(round, n, None, None, None);
+        let view = AdversaryView::new(round, dual.len(), None, None, None);
         lane.link.decide(&view, &mut lane.adversary_rng)
     };
-    lane.active_edges.clear();
-    for edge in decision.edges() {
-        let (u, v) = edge.endpoints();
-        let is_dynamic = dual.g_prime().has_edge(u, v) && !dual.g().has_edge(u, v);
-        if !is_dynamic {
-            lane.metrics.rejected_link_edges += 1;
-        } else if !shared.dedup_test_and_set(u.index(), v.index()) {
-            lane.active_edges.push(*edge);
-        }
-    }
-    shared.dedup_clear();
+    lane.metrics.rejected_link_edges += lane.active.resolve(dual.grey_table(), &decision);
 }
 // lint: end-hot-path
 
 /// Resolves reception for every lane at once: folds each transmitting
 /// neighbor's lane mask into saturating ≥1/≥2 counters per listener
 /// (recording the sender wherever a lane first reaches 1), then scatters
-/// each lane's active dynamic edges as single-bit updates — the fold
-/// commutes, so static-then-dynamic order matches the scalar count.
+/// each lane's active grey edges as single-bit updates — the fold
+/// commutes, so static-then-grey order matches the scalar count.
 ///
 /// Listeners whose static row is complete (degree `n - 1`) share one global
 /// fold over the transmitter set instead of each re-scanning it: a listener
@@ -689,13 +605,14 @@ fn fold_reception(dual: &DualGraph, shared: &mut Shared, lanes: &[Lane], live: u
             shared.ge2[u] = ge2;
         }
     }
+    let grey = dual.grey_table().edges();
     let mut mask = live;
     while mask != 0 {
         let lane_idx = mask.trailing_zeros() as usize;
         mask &= mask - 1;
         let bit = 1u64 << lane_idx;
-        for edge in &lanes[lane_idx].active_edges {
-            let (a, b) = edge.endpoints();
+        for id in lanes[lane_idx].active.ids() {
+            let (a, b) = grey[id].endpoints();
             let (a, b) = (a.index(), b.index());
             if shared.transmit[b] & bit != 0 {
                 if shared.ge1[a] & bit == 0 {
@@ -803,7 +720,7 @@ impl BatchExecutor {
             .map(|u| ProcessContext::new(u, n, max_degree, assignment.role(u)))
             .collect();
         let kernel = KernelPlan::probe(&contexts, &factory);
-        let shared = Shared::new(dual.g(), !dual.is_static());
+        let shared = Shared::new(dual.g());
         let tracker = StopTracker::new(stop, n);
         let tracker_template = tracker.clone();
         let lanes = vec![Lane::new(tracker, probe)];
@@ -938,7 +855,6 @@ impl BatchExecutor {
             lane.tracker.reset();
             lane.metrics = Metrics::default();
             lane.collisions_per_round.clear();
-            lane.active_edges.clear();
             lane.rounds_executed = 0;
             lane.completion_round = None;
             lane.completed = false;
@@ -1022,7 +938,7 @@ impl BatchExecutor {
             while mask != 0 {
                 let lane_idx = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                decide_lane_edges(dual, shared, &mut lanes[lane_idx], round);
+                decide_lane_edges(dual, &mut lanes[lane_idx], round);
             }
 
             // 3. Word-parallel reception across all lanes.
@@ -1172,7 +1088,7 @@ impl BatchExecutor {
             while mask != 0 {
                 let lane_idx = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                decide_lane_edges(dual, shared, &mut lanes[lane_idx], round);
+                decide_lane_edges(dual, &mut lanes[lane_idx], round);
             }
 
             // 3. Word-parallel reception across all lanes.
@@ -1261,7 +1177,7 @@ mod tests {
     use crate::process::Role;
     use crate::sampling;
     use crate::TrialExecutor;
-    use dradio_graphs::topology;
+    use dradio_graphs::{topology, Edge};
     use rand::RngCore;
 
     const DATA: MessageKind = MessageKind::new(1);
@@ -1340,14 +1256,14 @@ mod tests {
     /// probability 1/2; also proposes a duplicate and (when one exists) a
     /// static `G` edge every round to exercise dedup and rejection.
     struct FlakyLinks {
-        dynamic: Vec<Edge>,
+        dual: Option<Arc<DualGraph>>,
         bogus: Option<Edge>,
     }
 
     impl FlakyLinks {
         fn new() -> Self {
             FlakyLinks {
-                dynamic: Vec::new(),
+                dual: None,
                 bogus: None,
             }
         }
@@ -1358,7 +1274,7 @@ mod tests {
             AdversaryClass::Oblivious
         }
         fn on_start(&mut self, setup: &AdversarySetup<'_>, _rng: &mut dyn RngCore) {
-            self.dynamic = setup.dual.dynamic_edges();
+            self.dual = Some(Arc::clone(setup.dual));
             self.bogus = NodeId::all(setup.dual.len()).find_map(|u| {
                 setup
                     .dual
@@ -1370,7 +1286,8 @@ mod tests {
         }
         fn decide(&mut self, _view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> LinkDecision {
             let mut chosen = Vec::new();
-            for &edge in &self.dynamic {
+            let dual = self.dual.as_ref().expect("on_start ran");
+            for &edge in dual.grey_table().edges() {
                 if sampling::bernoulli(rng, 0.5) {
                     chosen.push(edge);
                 }

@@ -27,10 +27,32 @@
 //! loop is the same code (`Simulator::run` is implemented on top of this
 //! type). The root `integration_executor` test suite pins outcome equality
 //! across every registered algorithm × adversary × problem class.
+//!
+//! # How a round is resolved
+//!
+//! 1. Adaptive adversaries get the processes' transmit probabilities, then
+//!    every process picks its action with its private coins.
+//! 2. The link process returns a [`LinkDecision`](crate::LinkDecision) —
+//!    an edge list or a bitmask over the network's grey ids
+//!    ([`DualGraph::grey_table`], built on the first trial and shared by
+//!    every executor holding the same `Arc<DualGraph>`). One resolver turns
+//!    either form into the round's active grey mask, counting proposals that
+//!    name no grey edge as rejected and dropping repeats.
+//! 3. Reception is a transmitter push: each transmitter bumps a saturating
+//!    per-node count (0 / 1 / ≥ 2, plus the last sender) at every neighbor
+//!    in its `G` row and across every active edge of its grey row. The work
+//!    is proportional to the transmitters' degrees, on the dense and the CSR
+//!    backend alike.
+//! 4. Feedback is read off in ascending receiver order — so stop tracking
+//!    observes deliveries in the same order as any listener-by-listener
+//!    scan — and delivered to the processes; under full recording the round's
+//!    transmitters, deliveries and active grey edges (mask ids ascending,
+//!    or listed edges in first-occurrence order) are appended to the
+//!    history.
 
 use std::sync::Arc;
 
-use dradio_graphs::{DualGraph, Edge, GraphBackend, NeighborRow, NodeId};
+use dradio_graphs::{DualGraph, Graph, GreyTable, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -43,6 +65,7 @@ use crate::link::{AdversaryClass, AdversarySetup, AdversaryView, LinkProcess};
 use crate::metrics::Metrics;
 use crate::process::{Assignment, Process, ProcessContext, ProcessFactory};
 use crate::recorder::{RecordMode, Recorder};
+use crate::resolve::ActiveGrey;
 use crate::round::Round;
 use crate::stop::{StopCondition, StopTracker};
 use crate::Result;
@@ -194,12 +217,7 @@ impl TrialExecutor {
         let contexts: Vec<ProcessContext> = NodeId::all(n)
             .map(|u| ProcessContext::new(u, n, max_degree, assignment.role(u)))
             .collect();
-        let scratch = RoundScratch::new(
-            n,
-            dual.g().row_words(),
-            !dual.is_static(),
-            dual.g().backend() == GraphBackend::Csr,
-        );
+        let scratch = RoundScratch::new(n);
         Ok(TrialExecutor {
             tracker: StopTracker::new(stop, n),
             dual,
@@ -295,6 +313,8 @@ impl TrialExecutor {
         let mut recorder = Recorder::new(record_mode, class, n);
         let mut metrics = Metrics::default();
         let scratch = &mut self.scratch;
+        // Built on the network's first trial, shared by every later one.
+        let grey = self.dual.grey_table();
 
         // Start-of-execution hooks.
         {
@@ -364,159 +384,52 @@ impl TrialExecutor {
                 link.decide(&view, &mut self.adversary_rng)
             };
 
-            // Filter the decision down to genuine dynamic edges. The dynamic
-            // adjacency bit rows double as an O(1) duplicate check.
-            scratch.clear_dynamic();
-            scratch.active_edges.clear();
-            for edge in decision.edges() {
-                let (u, v) = edge.endpoints();
-                let is_dynamic =
-                    self.dual.g_prime().has_edge(u, v) && !self.dual.g().has_edge(u, v);
-                if !is_dynamic {
-                    metrics.rejected_link_edges += 1;
-                } else if !scratch.dynamic_bit(u, v) {
-                    scratch.set_dynamic(u, v);
-                    scratch.active_edges.push(*edge);
-                }
-            }
+            // Resolve the decision (either form) into the round's active
+            // grey mask; proposals naming no grey edge are rejected.
+            metrics.rejected_link_edges += scratch.active.resolve(grey, &decision);
 
-            // 4. Reception under the collision rule, from the packed
-            //    transmitter bitset.
+            // 4. Reception under the collision rule: every transmitter pushes
+            //    itself into the saturating per-node counts of its G row and
+            //    its active grey row, then feedback is read off in ascending
+            //    receiver order.
             scratch.transmitters.clear();
-            scratch.transmitter_bits.iter_mut().for_each(|w| *w = 0);
             for (i, action) in scratch.actions.iter().enumerate() {
                 if action.is_transmit() {
-                    scratch.transmitter_bits[i / 64] |= 1u64 << (i % 64);
                     scratch.transmitters.push(NodeId::new(i));
                 }
             }
-            let transmitter_count = scratch.transmitters.len();
-            metrics.transmissions += transmitter_count;
+            metrics.transmissions += scratch.transmitters.len();
+            push_reception(
+                self.dual.g(),
+                grey,
+                &scratch.active,
+                &scratch.transmitters,
+                &mut scratch.heard,
+                &mut scratch.senders,
+            );
 
             scratch.feedbacks.clear();
             // Deliveries are materialized only under full recording; feedback
             // and stop evaluation never need the allocation.
             let mut deliveries: Vec<Delivery> = Vec::new(); // lint: allow(D3) -- Vec::new is allocation-free; pushes happen only under full recording
             let mut round_collisions = 0usize;
-
-            if transmitter_count == 0 {
-                // Nobody transmitted: every node listens into silence.
-                metrics.idle_listens += n;
-                for _ in 0..n {
-                    scratch.feedbacks.push(Feedback::Silence);
-                }
-            } else {
-                let g = self.dual.g();
-                let words = g.row_words();
-                let use_dynamic = !scratch.active_edges.is_empty();
-                // Below this transmitter count, probing each transmitter with
-                // O(1) bit queries beats scanning the whole adjacency row.
-                let probe_transmitters = transmitter_count <= words;
-                for u in NodeId::all(n) {
-                    let u_idx = u.index();
-                    if scratch.transmitter_bits[u_idx / 64] >> (u_idx % 64) & 1 == 1 {
-                        scratch.feedbacks.push(Feedback::Transmitted);
-                        continue;
-                    }
-                    // Count transmitting neighbors, capped at 2 (the collision
-                    // rule only distinguishes 0 / 1 / "several"), picking the
-                    // cheapest of three equivalent strategies per listener:
-                    // walk the adjacency list testing transmitter bits (low
-                    // degree), probe each transmitter with O(1) edge queries
-                    // (few transmitters), or intersect the packed adjacency
-                    // row with the transmitter bitset (dense rounds).
-                    let mut count = 0usize;
-                    let mut sender = 0usize;
-                    let degree = g.degree(u);
-                    if !use_dynamic && degree <= transmitter_count && degree <= words * 2 {
-                        for &v in g.neighbors(u) {
-                            let v_idx = v.index();
-                            if scratch.transmitter_bits[v_idx / 64] >> (v_idx % 64) & 1 == 1 {
-                                count += 1;
-                                if count >= 2 {
-                                    break;
-                                }
-                                sender = v_idx;
-                            }
-                        }
-                    } else if probe_transmitters {
-                        for &v in &scratch.transmitters {
-                            let connected =
-                                g.has_edge(u, v) || (use_dynamic && scratch.dynamic_bit(u, v));
-                            if connected {
-                                count += 1;
-                                if count >= 2 {
-                                    break;
-                                }
-                                sender = v.index();
-                            }
-                        }
-                    } else {
-                        match g.neighbor_row(u) {
-                            NeighborRow::Dense(row) => {
-                                let dyn_row = scratch.dynamic_row(u_idx);
-                                for w in 0..words {
-                                    let mut hit = row[w] & scratch.transmitter_bits[w];
-                                    if use_dynamic {
-                                        hit |= dyn_row[w] & scratch.transmitter_bits[w];
-                                    }
-                                    if hit != 0 {
-                                        count += hit.count_ones() as usize;
-                                        if count >= 2 {
-                                            break;
-                                        }
-                                        sender = w * 64 + hit.trailing_zeros() as usize;
-                                    }
-                                }
-                            }
-                            NeighborRow::Sparse(row) => {
-                                // CSR backend: walk the sorted static row (and
-                                // the round's dynamic list, disjoint from it by
-                                // the is_dynamic filter above) testing
-                                // transmitter bits. Saturates at 2 like the
-                                // word scan, and a unique sender is unique
-                                // whichever order rows are visited in, so the
-                                // outcome matches the dense strategies exactly.
-                                for &v in row {
-                                    let v_idx = v.index();
-                                    if scratch.transmitter_bits[v_idx / 64] >> (v_idx % 64) & 1 == 1
-                                    {
-                                        count += 1;
-                                        if count >= 2 {
-                                            break;
-                                        }
-                                        sender = v_idx;
-                                    }
-                                }
-                                if use_dynamic && count < 2 {
-                                    for &v in scratch.dynamic_list(u_idx) {
-                                        let v_idx = v.index();
-                                        if scratch.transmitter_bits[v_idx / 64] >> (v_idx % 64) & 1
-                                            == 1
-                                        {
-                                            count += 1;
-                                            if count >= 2 {
-                                                break;
-                                            }
-                                            sender = v_idx;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let feedback = match count {
+            for u in NodeId::all(n) {
+                let heard = std::mem::take(&mut scratch.heard[u.index()]);
+                let feedback = if scratch.actions[u.index()].is_transmit() {
+                    Feedback::Transmitted
+                } else {
+                    match heard {
                         0 => {
                             metrics.idle_listens += 1;
                             Feedback::Silence
                         }
                         1 => {
-                            let sender = NodeId::new(sender);
+                            let sender = NodeId::new(scratch.senders[u.index()] as usize);
                             let message = scratch.actions[sender.index()]
                                 .message()
-                                // lint: allow(D4) -- the transmitter bitset is
-                                // built from Transmit actions two steps above
-                                .expect("a set transmitter bit implies a message");
+                                // lint: allow(D4) -- senders are only recorded
+                                // from the transmitter list built above
+                                .expect("a recorded sender implies a message");
                             metrics.deliveries += 1;
                             self.tracker.observe_one(u, sender, message.kind());
                             if recorder.wants_history() {
@@ -539,9 +452,9 @@ impl TrialExecutor {
                                 Feedback::Silence
                             }
                         }
-                    };
-                    scratch.feedbacks.push(feedback);
-                }
+                    }
+                };
+                scratch.feedbacks.push(feedback);
             }
 
             // 5. Deliver feedback to the processes.
@@ -553,10 +466,14 @@ impl TrialExecutor {
             //    delivery by delivery, in ascending receiver order).
             recorder.push_collisions(round_collisions);
             if recorder.wants_history() {
+                let mut active_dynamic_edges = Vec::new(); // lint: allow(D3) -- full-recording path only
+                scratch
+                    .active
+                    .push_edges(grey, &decision, &mut active_dynamic_edges);
                 recorder.push(RoundRecord {
                     round,
                     transmitters: scratch.transmitters.clone(), // lint: allow(D3) -- full-recording path only
-                    active_dynamic_edges: scratch.active_edges.clone(), // lint: allow(D3) -- full-recording path only
+                    active_dynamic_edges,
                     deliveries,
                 });
             }
@@ -596,16 +513,9 @@ impl std::fmt::Debug for TrialExecutor {
 
 /// Reusable per-round working memory: every buffer is cleared, never
 /// reallocated, between rounds, so the steady-state round loop performs no
-/// heap allocation beyond what the processes themselves do (under
-/// [`RecordMode::Full`], the retained round records are additionally built
-/// per round, exactly as before the scratch existed).
-///
-/// The transmitter set is kept both as a sorted `Vec<NodeId>` (for history
-/// records and transmitter probing) and as a packed `u64` bitset aligned
-/// with [`dradio_graphs::Graph::neighbor_bits`], so reception resolves 64
-/// candidate neighbors per word instead of chasing adjacency `Vec`s. Dynamic
-/// edges activated by the link process live in equally packed per-node bit
-/// rows; only rows actually touched in a round are cleared afterwards.
+/// heap allocation beyond what the processes and the link process themselves
+/// do (under [`RecordMode::Full`], the retained round records are
+/// additionally built per round).
 #[derive(Debug)]
 struct RoundScratch {
     /// Per-node actions of the current round.
@@ -616,47 +526,26 @@ struct RoundScratch {
     feedbacks: Vec<Feedback>,
     /// Transmitting nodes, ascending.
     transmitters: Vec<NodeId>,
-    /// Packed transmitter bitset (bit `v` set iff node `v` transmits).
-    transmitter_bits: Vec<u64>,
-    /// Packed per-node dynamic adjacency rows for the current round
-    /// (`words_per_row` words per node; empty when the network is static or
-    /// the graph backend is CSR).
-    dynamic_rows: Vec<u64>,
-    /// Per-node dynamic adjacency *lists* for the current round — the CSR
-    /// backend's O(n + active-edges) replacement for `dynamic_rows`, whose
-    /// n × words bit matrix would itself be the quadratic allocation the
-    /// sparse backend exists to avoid. Empty unless the network is dynamic
-    /// *and* the backend is CSR.
-    dynamic_lists: Vec<Vec<NodeId>>,
-    /// Nodes whose dynamic row/list was written this round (cleared lazily).
-    touched_rows: Vec<usize>,
-    /// The deduplicated genuine dynamic edges of the current round.
-    active_edges: Vec<Edge>,
-    /// Words per packed row.
-    words_per_row: usize,
+    /// The round's active grey edges.
+    active: ActiveGrey,
+    /// Per-node count of transmitters heard this round, saturating (only
+    /// 0 / 1 / ≥ 2 matter); zeroed as feedback is read off.
+    heard: Vec<u8>,
+    /// Per-node last transmitter heard — the unique sender wherever
+    /// `heard` ends at 1.
+    senders: Vec<u32>,
 }
 
 impl RoundScratch {
-    fn new(n: usize, words_per_row: usize, has_dynamic_edges: bool, sparse: bool) -> Self {
+    fn new(n: usize) -> Self {
         RoundScratch {
             actions: Vec::with_capacity(n),
             transmit_probs: Vec::with_capacity(n),
             feedbacks: Vec::with_capacity(n),
             transmitters: Vec::with_capacity(n),
-            transmitter_bits: vec![0u64; words_per_row],
-            dynamic_rows: if has_dynamic_edges && !sparse {
-                vec![0u64; n.saturating_mul(words_per_row)]
-            } else {
-                Vec::new()
-            },
-            dynamic_lists: if has_dynamic_edges && sparse {
-                vec![Vec::new(); n]
-            } else {
-                Vec::new()
-            },
-            touched_rows: Vec::new(),
-            active_edges: Vec::new(),
-            words_per_row,
+            active: ActiveGrey::new(),
+            heard: vec![0; n],
+            senders: vec![0; n],
         }
     }
 
@@ -667,74 +556,45 @@ impl RoundScratch {
         self.transmit_probs.clear();
         self.feedbacks.clear();
         self.transmitters.clear();
-        self.transmitter_bits.iter_mut().for_each(|w| *w = 0);
-        self.clear_dynamic();
-        self.active_edges.clear();
+        self.heard.fill(0);
     }
+}
 
-    /// Zeroes the dynamic rows/lists touched by the previous round.
-    fn clear_dynamic(&mut self) {
-        if self.dynamic_lists.is_empty() {
-            for &row in &self.touched_rows {
-                let start = row * self.words_per_row;
-                self.dynamic_rows[start..start + self.words_per_row].fill(0);
+/// Transmitter-push reception: every transmitter bumps the saturating
+/// `heard` count of each neighbor in its `G` row and over each active grey
+/// edge, recording itself as that neighbor's latest sender. A count that ends
+/// at 1 had exactly one bump, so its recorded sender is the unique
+/// transmitter heard — whatever order the bumps came in.
+// lint: hot-path
+fn push_reception(
+    g: &Graph,
+    grey: &GreyTable,
+    active: &ActiveGrey,
+    transmitters: &[NodeId],
+    heard: &mut [u8],
+    senders: &mut [u32],
+) {
+    for &t in transmitters {
+        for &v in g.neighbors(t) {
+            heard[v.index()] = heard[v.index()].saturating_add(1);
+            senders[v.index()] = t.index() as u32;
+        }
+    }
+    if active.len() == 0 {
+        return;
+    }
+    for &t in transmitters {
+        let (neighbors, ids) = grey.row(t);
+        for (&v, &id) in neighbors.iter().zip(ids) {
+            let on = active.contains(id);
+            heard[v.index()] = heard[v.index()].saturating_add(u8::from(on));
+            if on {
+                senders[v.index()] = t.index() as u32;
             }
-        } else {
-            for &row in &self.touched_rows {
-                self.dynamic_lists[row].clear();
-            }
-        }
-        self.touched_rows.clear();
-    }
-
-    /// Returns `true` if the dynamic edge `(u, v)` is active this round.
-    fn dynamic_bit(&self, u: NodeId, v: NodeId) -> bool {
-        if self.dynamic_lists.is_empty() {
-            let idx = u.index() * self.words_per_row + v.index() / 64;
-            self.dynamic_rows[idx] >> (v.index() % 64) & 1 == 1
-        } else {
-            // Dynamic lists stay tiny (one entry per active edge at u this
-            // round), so the linear probe is cheaper than keeping them sorted.
-            self.dynamic_lists[u.index()].contains(&v)
-        }
-    }
-
-    /// Activates the dynamic edge `(u, v)` for this round.
-    fn set_dynamic(&mut self, u: NodeId, v: NodeId) {
-        let (ui, vi) = (u.index(), v.index());
-        if self.dynamic_lists.is_empty() {
-            self.dynamic_rows[ui * self.words_per_row + vi / 64] |= 1u64 << (vi % 64);
-            self.dynamic_rows[vi * self.words_per_row + ui / 64] |= 1u64 << (ui % 64);
-        } else {
-            self.dynamic_lists[ui].push(v);
-            self.dynamic_lists[vi].push(u);
-        }
-        self.touched_rows.push(ui);
-        self.touched_rows.push(vi);
-    }
-
-    /// The packed dynamic adjacency row of node `u` (all zeroes when the
-    /// network is static; unused — and empty — on the CSR backend, which
-    /// reads [`dynamic_list`](RoundScratch::dynamic_list) instead).
-    fn dynamic_row(&self, u: usize) -> &[u64] {
-        if self.dynamic_rows.is_empty() {
-            &[]
-        } else {
-            let start = u * self.words_per_row;
-            &self.dynamic_rows[start..start + self.words_per_row]
-        }
-    }
-
-    /// The dynamic neighbors activated at node `u` this round (empty when
-    /// the network is static or the backend is dense).
-    fn dynamic_list(&self, u: usize) -> &[NodeId] {
-        if self.dynamic_lists.is_empty() {
-            &[]
-        } else {
-            &self.dynamic_lists[u]
         }
     }
 }
+// lint: end-hot-path
 
 #[cfg(test)]
 mod tests {

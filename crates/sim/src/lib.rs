@@ -82,6 +82,7 @@ pub mod message;
 pub mod metrics;
 pub mod process;
 pub mod recorder;
+mod resolve;
 pub mod round;
 pub mod sampling;
 pub mod stop;

@@ -38,13 +38,23 @@ impl fmt::Display for AdversaryClass {
 /// The set of dynamic (`E' \ E`) edges a link process activates for one
 /// round.
 ///
-/// The engine filters out any proposed edge that is not actually a dynamic
-/// edge of the network (reliable edges are always present and cannot be
-/// removed; edges outside `G'` cannot be added), counting such proposals in
-/// the metrics so buggy adversaries are visible.
+/// A decision names edges in one of two forms, and the engine honours both:
+///
+/// * an **edge list** ([`LinkDecision::from_edges`]) — the engine filters out
+///   any proposed edge that is not actually a dynamic edge of the network
+///   (reliable edges are always present and cannot be removed; edges outside
+///   `G'` cannot be added), counting such proposals in the metrics so buggy
+///   adversaries are visible, and drops repeats;
+/// * a **grey-id bitmask** ([`LinkDecision::from_grey_mask`]) over the ids of
+///   the network's [`GreyTable`](dradio_graphs::GreyTable) — bit `i` (word
+///   `i / 64`, bit `i % 64`) activates grey edge `i`. Set bits at or past the
+///   grey count are counted as rejected proposals. Oblivious processes that
+///   decide edge by edge in canonical order produce this form without
+///   materializing edges.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LinkDecision {
     edges: Vec<Edge>,
+    grey_mask: Vec<u64>,
 }
 
 impl LinkDecision {
@@ -55,29 +65,60 @@ impl LinkDecision {
 
     /// Activate every dynamic edge of `dual`: the round topology is `G'`.
     pub fn all_dynamic(dual: &DualGraph) -> Self {
-        LinkDecision {
-            edges: dual.dynamic_edges(),
+        LinkDecision::all_grey(dual.grey_table().len())
+    }
+
+    /// Activate grey ids `0..count` — every dynamic edge of a network with
+    /// `count` grey edges.
+    pub fn all_grey(count: usize) -> Self {
+        let mut mask = vec![u64::MAX; count / 64];
+        if !count.is_multiple_of(64) {
+            mask.push((1u64 << (count % 64)) - 1);
         }
+        LinkDecision::from_grey_mask(mask)
     }
 
     /// Activate exactly the given edges.
     pub fn from_edges(edges: Vec<Edge>) -> Self {
-        LinkDecision { edges }
+        LinkDecision {
+            edges,
+            grey_mask: Vec::new(),
+        }
     }
 
-    /// The activated edges.
+    /// Activate the grey edges whose ids are set in `mask`.
+    pub fn from_grey_mask(mask: Vec<u64>) -> Self {
+        LinkDecision {
+            edges: Vec::new(),
+            grey_mask: mask,
+        }
+    }
+
+    /// The edges proposed as an explicit list (empty for a bitmask
+    /// decision).
     pub fn edges(&self) -> &[Edge] {
         &self.edges
     }
 
-    /// Number of activated edges.
-    pub fn len(&self) -> usize {
-        self.edges.len()
+    /// The grey ids proposed as a bitmask (empty for an edge-list decision).
+    pub fn grey_mask(&self) -> &[u64] {
+        &self.grey_mask
     }
 
-    /// Returns `true` if no dynamic edge is activated.
+    /// Number of proposed edges: list entries plus set mask bits (before
+    /// the engine's filtering).
+    pub fn len(&self) -> usize {
+        self.edges.len()
+            + self
+                .grey_mask
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
+    }
+
+    /// Returns `true` if no dynamic edge is proposed.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.edges.is_empty() && self.grey_mask.iter().all(|&w| w == 0)
     }
 }
 
@@ -214,7 +255,7 @@ pub trait LinkProcess: Send {
 #[derive(Debug, Clone)]
 pub struct StaticLinks {
     include_all: bool,
-    cached: Vec<Edge>,
+    cached: LinkDecision,
 }
 
 impl StaticLinks {
@@ -222,7 +263,7 @@ impl StaticLinks {
     pub fn none() -> Self {
         StaticLinks {
             include_all: false,
-            cached: Vec::new(),
+            cached: LinkDecision::none(),
         }
     }
 
@@ -230,7 +271,7 @@ impl StaticLinks {
     pub fn all() -> Self {
         StaticLinks {
             include_all: true,
-            cached: Vec::new(),
+            cached: LinkDecision::none(),
         }
     }
 }
@@ -242,16 +283,12 @@ impl LinkProcess for StaticLinks {
 
     fn on_start(&mut self, setup: &AdversarySetup<'_>, _rng: &mut dyn RngCore) {
         if self.include_all {
-            self.cached = setup.dual.dynamic_edges();
+            self.cached = LinkDecision::all_dynamic(setup.dual);
         }
     }
 
     fn decide(&mut self, _view: &AdversaryView<'_>, _rng: &mut dyn RngCore) -> LinkDecision {
-        if self.include_all {
-            LinkDecision::from_edges(self.cached.clone())
-        } else {
-            LinkDecision::none()
-        }
+        self.cached.clone()
     }
 
     fn reset(&mut self) -> bool {

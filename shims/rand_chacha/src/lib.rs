@@ -115,6 +115,38 @@ impl RngCore for ChaCha8Rng {
         let hi = self.next_u32() as u64;
         lo | (hi << 32)
     }
+
+    /// Stream-identical to the trait default — one `next_u64` per 8-byte
+    /// chunk, little-endian, a partial tail still consuming a whole
+    /// `next_u64` — but copies buffered keystream words (whole refilled
+    /// blocks at a time) straight into `dest`.
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        // The default's byte stream is the keystream words in order, each
+        // little-endian; it consumes two words per started 8-byte chunk.
+        let mut words_left = dest.len().div_ceil(8) * 2;
+        let mut out = dest;
+        while words_left > 0 {
+            if self.index >= 16 {
+                self.refill();
+            }
+            let take = (16 - self.index).min(words_left);
+            let bytes = (4 * take).min(out.len());
+            let (head, rest) = out.split_at_mut(bytes);
+            let words = &self.buffer[self.index..self.index + take];
+            let mut chunks = head.chunks_exact_mut(4);
+            for (chunk, word) in (&mut chunks).zip(words) {
+                chunk.copy_from_slice(&word.to_le_bytes());
+            }
+            let tail = chunks.into_remainder();
+            if let Some(word) = words.get(bytes / 4) {
+                let len = tail.len();
+                tail.copy_from_slice(&word.to_le_bytes()[..len]);
+            }
+            out = rest;
+            self.index += take;
+            words_left -= take;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -147,6 +179,37 @@ mod tests {
         }
         let mut b = a.clone();
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    /// The trait's default `fill_bytes`: one `next_u64` per started chunk.
+    fn fill_by_words(rng: &mut ChaCha8Rng, dest: &mut [u8]) {
+        for chunk in dest.chunks_mut(8) {
+            let word = rng.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&word[..chunk.len()]);
+        }
+    }
+
+    #[test]
+    fn fill_bytes_matches_next_u64_sequences() {
+        // Even and odd word offsets, lengths inside one block and across
+        // block boundaries, with and without a partial 8-byte tail.
+        for skip in [0usize, 1, 3, 15, 16, 17] {
+            for len in [0usize, 1, 5, 8, 13, 63, 64, 65, 127, 200, 1000] {
+                let mut fast = ChaCha8Rng::seed_from_u64(11);
+                let mut slow = ChaCha8Rng::seed_from_u64(11);
+                for _ in 0..skip {
+                    fast.next_u32();
+                    slow.next_u32();
+                }
+                let mut a = vec![0u8; len];
+                let mut b = vec![0u8; len];
+                fast.fill_bytes(&mut a);
+                fill_by_words(&mut slow, &mut b);
+                assert_eq!(a, b, "skip {skip} len {len}");
+                // Both consumed the same number of words.
+                assert_eq!(fast.next_u32(), slow.next_u32(), "skip {skip} len {len}");
+            }
+        }
     }
 
     #[test]
