@@ -6,8 +6,11 @@
 //!
 //! ```text
 //! cargo run -p dradio-bench --bin repro --release [-- OPTIONS]
-//! cargo run -p dradio-bench --bin repro --release -- campaign <run|resume|report|compact> \
-//!     --campaign <json-or-path> [--store <path>]
+//! cargo run -p dradio-bench --bin repro --release -- campaign <check|run|resume|report|compact> \
+//!     --campaign <json-or-path> [--store <path>] [--shard <K/N>]
+//! cargo run -p dradio-bench --bin repro --release -- campaign merge \
+//!     --campaign <json-or-path> --store <out> <shard store>...
+//! cargo run -p dradio-bench --bin repro --release -- campaign fsck --store <path>
 //!
 //! OPTIONS:
 //!     --smoke             tiny sizes, 1 trial (sanity check)
@@ -22,7 +25,7 @@
 //!     --example-scenario  print a ScenarioSpec JSON template and exit
 //!     --example-campaign  print a CampaignSpec JSON template and exit
 //!
-//! CAMPAIGN SUBCOMMANDS (all but worker take --campaign <inline JSON or path>):
+//! CAMPAIGN SUBCOMMANDS (all but fsck take --campaign <inline JSON or path>):
 //!     campaign check      statically validate the spec without running a
 //!                         cell: duplicate cells, degenerate or unreachable
 //!                         adaptive stop targets, and a per-group worst-case
@@ -36,15 +39,6 @@
 //!     campaign compact    rewrite the store keeping only records in the
 //!                         spec's expansion, in expansion order (refuses to
 //!                         touch a store that fails its integrity checks)
-//!     campaign fleet      serve the pending cells to worker *processes*
-//!                         (--workers N) with worker-pull scheduling, each
-//!                         worker appending to its own shard store
-//!                         <store>.shardK.jsonl; refuses specs that fail
-//!                         `campaign check`, restarts crashed/hung/corrupt
-//!                         workers (capped backoff, per-shard budget),
-//!                         re-queues expired leases, and is resumable
-//!     campaign worker     serve one fleet shard over stdin/stdout (spawned
-//!                         by `campaign fleet`; not for interactive use)
 //!     campaign merge      union shard stores into --store, in spec expansion
 //!                         order, byte-identical to a single-process run
 //!                         (shard paths are positional arguments)
@@ -53,39 +47,26 @@
 //!                         malformed lines; never modifies the file (exits
 //!                         non-zero on findings)
 //!     --store <path>      JSONL result store (default: <name>.campaign.jsonl)
-//!     --threads <N>       run/resume/fleet: cap cell-runner threads (fleet
-//!                         forwards the cap to every worker)
-//!     --batch             run/resume/worker/fleet: bit-sliced batch trial
-//!                         execution — up to 64 trials per word pass;
-//!                         unbatchable cells (adaptive adversaries, history
-//!                         recording) fall back to scalar, and results are
-//!                         byte-identical either way (fleet forwards the
-//!                         flag to every worker)
-//!     --mem-budget <SZ>   check/fleet: per-cell topology memory ceiling —
-//!                         plain bytes or a binary-suffixed size ("512MiB",
+//!     --shard <K/N>       run/resume: only shard K of N (default 0/1, the
+//!                         whole campaign); cells are dealt to shards by
+//!                         their `campaign check` worst-case round budgets,
+//!                         largest first, a pure function of the spec. Run
+//!                         each of the N shards into its own store — on any
+//!                         machines, concurrently or not — then merge them;
+//!                         a crashed shard is recovered by resuming its
+//!                         store with the same --shard
+//!     --threads <N>       run/resume: cap cell-runner threads
+//!     --batch             run/resume: bit-sliced batch trial execution — up
+//!                         to 64 trials per word pass; unbatchable cells
+//!                         (adaptive adversaries, history recording) fall
+//!                         back to scalar, and results are byte-identical
+//!                         either way
+//!     --mem-budget <SZ>   check: per-cell topology memory ceiling — plain
+//!                         bytes or a binary-suffixed size ("512MiB",
 //!                         "4GiB"); any cell whose estimated topology
 //!                         footprint exceeds it draws a warning, with a
 //!                         pointer at the csr backend when forcing it on the
 //!                         group would fit
-//!     --workers <N>       fleet: worker processes to spawn (default 2)
-//!     --hang-timeout <S>  fleet: declare a silent worker dead after S seconds
-//!     --lease-timeout <S> fleet: re-queue an assigned cell not acknowledged
-//!                         within S seconds (default: only on worker death)
-//!     --ready-timeout <S> fleet: kill a worker that has not completed the
-//!                         Ready handshake within S seconds of spawning
-//!                         (default 30; distinct from --hang-timeout — no
-//!                         frames at all usually means a broken worker)
-//!     --restart-budget <N> fleet: supervised restarts per shard before the
-//!                         shard's work degrades to re-assignment only
-//!                         (default 2; 0 disables restarts)
-//!     --chaos <plan>      fleet: arm the deterministic fault-injection
-//!                         harness — a u64 derives a seeded FaultPlan over
-//!                         the fleet, `{`/`[` is inline plan JSON, anything
-//!                         else is a path to plan JSON; the merged store
-//!                         must still match a single-process run byte for
-//!                         byte
-//!     --worker-exit-after <N>  fleet: sugar for a --chaos plan that kills
-//!                         worker 0 after N fresh cells (smoke tests)
 //!     --progress          emit a `cells done/total, cells/sec, ETA` line to
 //!                         stderr after each committed cell
 //!     --curves            with report: also render each stored
@@ -114,7 +95,6 @@
 use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
 
 use dradio_analysis::experiments::{self, ExperimentConfig};
 use dradio_analysis::Table;
@@ -122,10 +102,6 @@ use dradio_campaign::{
     CampaignRunner, CampaignSpec, ResultStore, RoundsRule, StopRule, SweepGroup, TrialPolicy,
 };
 use dradio_core::algorithms::GlobalAlgorithm;
-use dradio_fleet::{
-    run_fleet, run_worker, shard_store_path, FaultKind, FaultPlan, FleetConfig, WorkerConfig,
-    WorkerFault,
-};
 use dradio_scenario::{AdversarySpec, ProblemSpec, ScenarioSpec, TopologySpec};
 
 fn run_scenario(json: &str, trials: usize) -> ExitCode {
@@ -295,21 +271,27 @@ fn load_campaign(arg: &str) -> Result<CampaignSpec, String> {
     serde_json::from_str(&json).map_err(|e| format!("could not parse the campaign spec: {e}"))
 }
 
+/// Parses a `--shard` value `K/N` (shard `K` of `N`, `0 <= K < N`).
+fn parse_shard(raw: &str) -> Option<(usize, usize)> {
+    let (k, n) = raw.split_once('/')?;
+    let (k, n) = (k.parse().ok()?, n.parse().ok()?);
+    (k < n).then_some((k, n))
+}
+
 fn campaign_command(args: &[String]) -> ExitCode {
     let Some(action) = args.first().map(String::as_str) else {
         eprintln!(
-            "campaign needs an action: check | run | resume | report | compact | fleet | \
-             worker | merge | fsck"
+            "campaign needs an action: check | run | resume | report | compact | merge | fsck"
         );
         return ExitCode::FAILURE;
     };
     if !matches!(
         action,
-        "check" | "run" | "resume" | "report" | "compact" | "fleet" | "worker" | "merge" | "fsck"
+        "check" | "run" | "resume" | "report" | "compact" | "merge" | "fsck"
     ) {
         eprintln!(
             "unknown campaign action {action}; use check, run, resume, report, compact, \
-             fleet, worker, merge, or fsck"
+             merge, or fsck"
         );
         return ExitCode::FAILURE;
     }
@@ -320,15 +302,7 @@ fn campaign_command(args: &[String]) -> ExitCode {
     let mut curves = false;
     let mut threads = 0usize;
     let mut batch = false;
-    let mut workers = 2usize;
-    let mut shard = 0usize;
-    let mut faults_arg: Option<String> = None;
-    let mut chaos_arg: Option<String> = None;
-    let mut worker_exit_after: Option<usize> = None;
-    let mut hang_timeout: Option<Duration> = None;
-    let mut lease_timeout: Option<Duration> = None;
-    let mut ready_timeout: Option<Duration> = None;
-    let mut restart_budget = 2usize;
+    let mut shard: Option<(usize, usize)> = None;
     let mut mem_budget: Option<u64> = None;
     let mut shard_paths: Vec<PathBuf> = Vec::new();
     let mut iter = args[1..].iter();
@@ -359,59 +333,13 @@ fn campaign_command(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--workers" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => workers = n,
-                _ => {
-                    eprintln!("--workers requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--shard" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => shard = n,
+            "--shard" => match iter.next().and_then(|v| parse_shard(v)) {
+                Some(k_n) => shard = Some(k_n),
                 None => {
-                    eprintln!("--shard requires a shard index");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--faults" => match iter.next() {
-                Some(v) => faults_arg = Some(v.clone()),
-                None => {
-                    eprintln!("--faults requires a JSON list of worker faults");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--chaos" => match iter.next() {
-                Some(v) => chaos_arg = Some(v.clone()),
-                None => {
-                    eprintln!("--chaos requires a seed, inline FaultPlan JSON, or a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--worker-exit-after" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => worker_exit_after = Some(n),
-                _ => {
-                    eprintln!("--worker-exit-after requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--restart-budget" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => restart_budget = n,
-                None => {
-                    eprintln!("--restart-budget requires an integer (0 disables restarts)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--hang-timeout" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 => hang_timeout = Some(Duration::from_secs_f64(s)),
-                _ => {
-                    eprintln!("--hang-timeout requires a positive number of seconds");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--lease-timeout" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 => lease_timeout = Some(Duration::from_secs_f64(s)),
-                _ => {
-                    eprintln!("--lease-timeout requires a positive number of seconds");
+                    eprintln!(
+                        "--shard requires K/N with 0 <= K < N, e.g. `--shard 0/2` and \
+                         `--shard 1/2` for the two halves of a campaign"
+                    );
                     return ExitCode::FAILURE;
                 }
             },
@@ -425,13 +353,6 @@ fn campaign_command(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--ready-timeout" => match iter.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(s) if s > 0.0 => ready_timeout = Some(Duration::from_secs_f64(s)),
-                _ => {
-                    eprintln!("--ready-timeout requires a positive number of seconds");
-                    return ExitCode::FAILURE;
-                }
-            },
             other if !other.starts_with('-') && action == "merge" => {
                 shard_paths.push(PathBuf::from(other));
             }
@@ -441,52 +362,9 @@ fn campaign_command(args: &[String]) -> ExitCode {
             }
         }
     }
-
-    if action == "worker" {
-        // A worker's stdout carries protocol frames for its coordinator —
-        // nothing human-readable goes there. The cells to run arrive over
-        // the wire, so no --campaign is needed.
-        let Some(store) = store_arg else {
-            eprintln!("campaign worker requires --store <shard store path>");
-            return ExitCode::FAILURE;
-        };
-        let faults: Vec<WorkerFault> = match &faults_arg {
-            None => Vec::new(),
-            Some(json) => match serde_json::from_str(json) {
-                Ok(faults) => faults,
-                Err(e) => {
-                    eprintln!("--faults must be a JSON list of worker faults: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
-        let config = WorkerConfig {
-            shard,
-            store: PathBuf::from(store),
-            threads,
-            batch,
-            faults,
-        };
-        let stdin = std::io::BufReader::new(std::io::stdin());
-        return match run_worker(&config, stdin, std::io::stdout()) {
-            Ok(report) => {
-                eprintln!(
-                    "worker {}: {} executed, {} skipped, {} failed ({} resumed, {} torn \
-                     tail byte(s) repaired)",
-                    report.shard,
-                    report.executed,
-                    report.skipped,
-                    report.failed,
-                    report.resumed,
-                    report.repaired_tail_bytes
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("campaign worker failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if shard.is_some() && !matches!(action, "run" | "resume") {
+        eprintln!("--shard applies to campaign run and resume only");
+        return ExitCode::FAILURE;
     }
 
     if action == "fsck" {
@@ -566,67 +444,6 @@ fn campaign_command(args: &[String]) -> ExitCode {
         };
     }
 
-    if action == "fleet" {
-        let mut faults: Option<FaultPlan> = None;
-        if let Some(raw) = &chaos_arg {
-            // A bare integer is a seed; `{`/`[` starts inline JSON;
-            // anything else is a file path holding the plan.
-            let plan = if let Ok(seed) = raw.parse::<u64>() {
-                FaultPlan::seeded(seed, workers)
-            } else {
-                let json = if raw.trim_start().starts_with(['{', '[']) {
-                    raw.clone()
-                } else {
-                    match std::fs::read_to_string(raw) {
-                        Ok(text) => text,
-                        Err(e) => {
-                            eprintln!("--chaos: cannot read {raw}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                };
-                match serde_json::from_str::<FaultPlan>(&json) {
-                    Ok(plan) => plan,
-                    Err(e) => {
-                        eprintln!("--chaos: not a seed or a FaultPlan JSON: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            };
-            faults = Some(plan);
-        }
-        if let Some(limit) = worker_exit_after {
-            // The pre-chaos smoke knob, kept as sugar: kill worker 0 after
-            // its limit-th fresh cell.
-            faults
-                .get_or_insert_with(FaultPlan::default)
-                .faults
-                .push(WorkerFault {
-                    shard: 0,
-                    after_cells: limit,
-                    kind: FaultKind::Kill,
-                });
-        }
-        return fleet_command(
-            &spec,
-            &store_path,
-            mem_budget,
-            FleetConfig {
-                workers,
-                threads,
-                batch,
-                progress,
-                hang_timeout,
-                lease_timeout,
-                ready_timeout: ready_timeout.or(Some(Duration::from_secs(30))),
-                restart_budget,
-                faults,
-                worker_command: None,
-                ..FleetConfig::default()
-            },
-        );
-    }
-
     // Only `run` may create the store; `resume`, `report`, and `compact`
     // address an existing one (none of them should leave an empty file
     // behind).
@@ -673,6 +490,12 @@ fn campaign_command(args: &[String]) -> ExitCode {
         if threads > 0 {
             runner = runner.threads(threads);
         }
+        let mut resume_shard = String::new();
+        if let Some((k, n)) = shard {
+            runner = runner.shard(k, n);
+            resume_shard = format!(" --shard {k}/{n}");
+            println!("shard: {k}/{n}");
+        }
         match runner.run(&mut store) {
             Ok(report) => {
                 println!(
@@ -684,7 +507,7 @@ fn campaign_command(args: &[String]) -> ExitCode {
                 eprintln!("campaign failed: {e}");
                 eprintln!(
                     "(the {} cells committed so far are safe in {store_path}; \
-                     rerun `campaign resume` after fixing the problem)",
+                     rerun `campaign resume{resume_shard}` after fixing the problem)",
                     store.len()
                 );
                 return ExitCode::FAILURE;
@@ -737,128 +560,6 @@ fn campaign_command(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// `campaign fleet`: a check-gated launch banner with a per-shard budget
-/// estimate (rounds and topology memory), then the coordinator.
-fn fleet_command(
-    spec: &CampaignSpec,
-    store_path: &str,
-    mem_budget: Option<u64>,
-    config: FleetConfig,
-) -> ExitCode {
-    // The coordinator re-checks internally; checking here first prints the
-    // warnings the way `campaign check` does and sizes the banner.
-    let report = match dradio_campaign::check_with_budget(spec, mem_budget) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("campaign fleet: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !report.is_clean() {
-        print!("{report}");
-        eprintln!(
-            "campaign fleet: the spec has {} check warning(s); fix them (or run \
-             single-process `campaign run`) before fanning out across processes",
-            report.warnings.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("{spec}");
-    // Each worker runs `threads.max(1)` cell runners concurrently, and
-    // `--batch` retires up to 64 trials per word pass, so the wall-clock
-    // proxy is rounds (or word passes) divided across every parallel
-    // stream — not one sequential scalar trial stream per worker.
-    let streams = (config.workers * config.threads.max(1)) as u64;
-    let budget: Option<u64> = if config.batch {
-        report.groups.iter().map(|g| g.max_batched_rounds).sum()
-    } else {
-        report.groups.iter().map(|g| g.max_rounds).sum()
-    };
-    let unit = if config.batch {
-        "word passes"
-    } else {
-        "rounds"
-    };
-    match budget {
-        Some(total) => println!(
-            "fleet: {} workers over {} cells; worst-case budget ≈ {} {unit} per \
-             parallel stream (of {total} total across {streams} streams)",
-            config.workers,
-            report.cells,
-            total.div_ceil(streams)
-        ),
-        None => println!(
-            "fleet: {} workers over {} cells (unbounded round budget)",
-            config.workers, report.cells
-        ),
-    }
-    // Every worker process builds its own copy of a cell's topology, so the
-    // honest per-worker memory proxy is the largest single-cell estimate.
-    let peak = report
-        .groups
-        .iter()
-        .filter_map(|g| g.peak_topology)
-        .max_by_key(|&(_, bytes)| bytes);
-    if let Some((backend, bytes)) = peak {
-        let ceiling = mem_budget
-            .map(|b| format!(", within the {} budget", dradio_campaign::format_bytes(b)))
-            .unwrap_or_default();
-        println!(
-            "fleet: peak topology estimate ~{} per worker ({backend} backend{ceiling})",
-            dradio_campaign::format_bytes(bytes)
-        );
-    }
-    if let Some(plan) = &config.faults {
-        let seed = plan
-            .seed
-            .map(|s| format!(" (seed {s})"))
-            .unwrap_or_default();
-        println!(
-            "fleet: chaos plan armed: {} fault(s){seed} — convergence contract: the merged \
-             store must still match a single-process run byte for byte",
-            plan.faults.len()
-        );
-    }
-    let workers = config.workers;
-    match run_fleet(spec, Path::new(store_path), &config) {
-        Ok(report) => {
-            println!(
-                "cells: {} total, {} skipped (already durable), {} completed, \
-                 {} re-assigned, {} lease(s) expired, {} worker(s) restarted, {} worker(s)",
-                report.total,
-                report.skipped,
-                report.completed,
-                report.reassigned,
-                report.lease_expired,
-                report.restarted,
-                report.workers
-            );
-            let shards: Vec<String> = (0..workers)
-                .map(|k| shard_store_path(Path::new(store_path), k))
-                .filter(|p| p.exists())
-                .map(|p| p.display().to_string())
-                .collect();
-            if shards.is_empty() {
-                println!("(no shard stores written — nothing was pending)");
-            } else {
-                println!(
-                    "next: repro campaign merge --campaign <spec> --store {store_path} {}",
-                    shards.join(" ")
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("campaign fleet failed: {e}");
-            eprintln!(
-                "(completed cells are durable in the shard stores next to {store_path}; \
-                 rerun `campaign fleet` to resume)"
-            );
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// One row of the `repro bench` batch-versus-scalar comparison.
@@ -1411,16 +1112,14 @@ fn main() -> ExitCode {
                 );
                 println!(
                     "campaigns: campaign <check|run|resume|report|compact> --campaign \
-                     <json-or-path> [--store <path>] [--csv] [--progress] [--threads <N>]"
+                     <json-or-path> [--store <path>] [--csv] [--progress] [--threads <N>] \
+                     [--shard <K/N>]"
                 );
                 println!(
-                    "fleet: campaign fleet --campaign <json-or-path> [--store <path>] \
-                     [--workers <N>] [--threads <N>] [--hang-timeout <secs>] \
-                     [--lease-timeout <secs>] [--ready-timeout <secs>] \
-                     [--restart-budget <N>] [--chaos <seed|json|path>]; \
-                     campaign merge --campaign <json-or-path> --store <out> <shard>...; \
-                     campaign fsck --store <path> (read-only shard inspection); \
-                     campaign worker (internal, spawned by fleet)"
+                    "shards: campaign run --campaign <json-or-path> --store <shard> \
+                     --shard <K/N> (one per K; resume a crashed shard with the same \
+                     --shard); campaign merge --campaign <json-or-path> --store <out> \
+                     <shard>...; campaign fsck --store <path> (read-only store inspection)"
                 );
                 println!("lint: repro lint [--fix-hints] (workspace static analysis)");
                 println!(

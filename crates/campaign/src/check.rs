@@ -164,14 +164,7 @@ pub fn check_with_budget(spec: &CampaignSpec, mem_budget: Option<u64>) -> Result
         let mut rounds_total: Option<u64> = Some(0);
         let mut batched_total: Option<u64> = Some(0);
         for cell in &cells {
-            let budget = match cell.scenario.max_rounds {
-                Some(rounds) => Some(rounds as u64),
-                None => cell
-                    .scenario
-                    .topology
-                    .node_count()
-                    .map(|n| 200 * n as u64 + 2_000),
-            };
+            let budget = round_budget(cell);
             let batched_trials = if batchable(cell) {
                 (max_trials as u64).div_ceil(MAX_LANES as u64)
             } else {
@@ -255,6 +248,20 @@ pub fn check_with_budget(spec: &CampaignSpec, mem_budget: Option<u64>) -> Result
 /// adversary (adaptive and custom classes cannot be replayed lane-wise) and
 /// no history recording. Mirrors `Scenario::is_batchable` — spec-level, so
 /// the budget estimate needs no built components.
+/// A cell's per-trial round budget: its explicit `max_rounds`, or the
+/// scenario default `200·n + 2000`. `None` when neither is derivable from
+/// the spec (custom-sized topology under a default rule).
+pub(crate) fn round_budget(cell: &CellSpec) -> Option<u64> {
+    match cell.scenario.max_rounds {
+        Some(rounds) => Some(rounds as u64),
+        None => cell
+            .scenario
+            .topology
+            .node_count()
+            .map(|n| 200 * n as u64 + 2_000),
+    }
+}
+
 fn batchable(cell: &CellSpec) -> bool {
     cell.scenario.adversary.class() == Some(AdversaryClass::Oblivious)
         && !cell.record_mode.records_history()

@@ -17,6 +17,17 @@
 //!   appends exactly the missing suffix, reproducing the uninterrupted store
 //!   byte for byte.
 //!
+//! # Static shards
+//!
+//! [`CampaignRunner::shard`] restricts a run to a fixed slice of the
+//! expansion. The slices balance the `campaign check` worst-case round
+//! budgets and are a pure function of the spec, taken before the store
+//! diff, so a cell's shard never depends on what a store already holds:
+//! each shard writes its own store, resumes it like any other, and
+//! [`ResultStore::merge`] unions the shard stores into the bytes of a
+//! single-process run. No process coordinates the shards; the store is the
+//! only shared state.
+//!
 //! Trials *within* a cell run sequentially when cells run in parallel (the
 //! cell fan-out already saturates the cores); when only one cell is pending
 //! the runner drops to the scenario layer's parallel trial runner instead.
@@ -37,7 +48,8 @@
 //! cache is invisible in the results — keys, measurements, and store bytes
 //! are identical with and without it (pinned by this module's tests).
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 // lint: allow(D2) -- wall-clock time feeds only the stderr progress meter,
@@ -49,6 +61,7 @@ use dradio_scenario::{
     TrialAccumulator,
 };
 
+use crate::check::round_budget;
 use crate::error::{CampaignError, Result};
 use crate::spec::{CampaignSpec, CellSpec, StopRule, TrialPolicy};
 use crate::store::{CellRecord, ResultStore};
@@ -56,7 +69,8 @@ use crate::store::{CellRecord, ResultStore};
 /// What a [`CampaignRunner::run`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunReport {
-    /// Total cells in the campaign's expansion.
+    /// Cells this run is responsible for: the campaign's whole expansion, or
+    /// the runner's shard of it.
     pub total: usize,
     /// Cells skipped because the store already held them.
     pub skipped: usize,
@@ -71,6 +85,7 @@ pub struct CampaignRunner<'a> {
     threads: Option<usize>,
     progress: bool,
     batch: bool,
+    shard: (usize, usize),
 }
 
 impl<'a> CampaignRunner<'a> {
@@ -81,6 +96,7 @@ impl<'a> CampaignRunner<'a> {
             threads: None,
             progress: false,
             batch: false,
+            shard: (0, 1),
         }
     }
 
@@ -109,23 +125,71 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Runs every cell not already present in `store`, appending results in
-    /// cell-expansion order.
+    /// Restricts the run to shard `k` of `n`. The default `0/1` is the
+    /// whole campaign.
+    ///
+    /// Cells are dealt to the `n` shards largest worst-case round budget
+    /// first (the maximum trial count times the per-trial round budget, as
+    /// `campaign check` reports it), each to the shard with the smallest
+    /// budget so far. The partition is a pure function of the spec and
+    /// never depends on a store's contents, so every shard, on any machine
+    /// and after any crash, owns the same cells; the `n` shard stores merge
+    /// ([`ResultStore::merge`]) into exactly the store one unsharded run
+    /// writes.
+    pub fn shard(mut self, k: usize, n: usize) -> Self {
+        self.shard = (k, n);
+        self
+    }
+
+    /// The cells a [`CampaignRunner::run`] over `store` would execute, in
+    /// expansion order: the runner's shard of the expansion minus the cells
+    /// `store` already holds.
     ///
     /// # Errors
     ///
-    /// * [`CampaignError::Spec`] if the campaign fails to validate or expand.
+    /// [`CampaignError::Spec`] if the campaign fails to validate or expand,
+    /// or the shard is not `k/n` with `k < n`.
+    pub fn pending(&self, store: &ResultStore) -> Result<Vec<CellSpec>> {
+        self.plan(store).map(|(_, pending)| pending)
+    }
+
+    /// The size of the runner's shard and its cells missing from `store`.
+    fn plan(&self, store: &ResultStore) -> Result<(usize, Vec<CellSpec>)> {
+        let (k, n) = self.shard;
+        if k >= n {
+            return Err(CampaignError::spec(format!(
+                "shard {k}/{n} does not exist: shard K/N needs 0 <= K < N"
+            )));
+        }
+        let cells = self.spec.expand()?;
+        let owners = (n > 1).then(|| shard_owners(&cells, n));
+        let mut total = 0;
+        // The shard filter comes first, so a cell's shard never depends on
+        // the store's contents.
+        let pending = cells
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| owners.as_ref().is_none_or(|owners| owners[*i] == k))
+            .inspect(|_| total += 1)
+            .filter(|(_, cell)| !store.contains(&cell.key()))
+            .map(|(_, cell)| cell)
+            .collect();
+        Ok((total, pending))
+    }
+
+    /// Runs every cell of the runner's shard not already present in
+    /// `store`, appending results in cell-expansion order.
+    ///
+    /// # Errors
+    ///
+    /// * [`CampaignError::Spec`] if the campaign fails to validate or
+    ///   expand, or the shard does not exist.
     /// * [`CampaignError::Cell`] if a cell fails to build or run; cells
     ///   committed before the failure remain in the store, so a fixed spec
     ///   can resume past them.
     /// * [`CampaignError::Store`] on store I/O failures.
     pub fn run(&self, store: &mut ResultStore) -> Result<RunReport> {
-        let cells = self.spec.expand()?;
-        let total = cells.len();
-        let pending: Vec<CellSpec> = cells
-            .into_iter()
-            .filter(|cell| !store.contains(&cell.key()))
-            .collect();
+        let (total, pending) = self.plan(store)?;
         let skipped = total - pending.len();
         if pending.is_empty() {
             return Ok(RunReport {
@@ -288,6 +352,41 @@ impl<'a> CampaignRunner<'a> {
             None => Ok(executed),
         }
     }
+}
+
+/// The shard (of `n`) that owns each cell of an expansion, indexed like
+/// `cells`: the longest-processing-time rule over the cells' worst-case
+/// round budgets. Cells go largest budget first (ties in expansion order),
+/// each to the shard whose budget so far is smallest (ties to the lowest
+/// shard).
+fn shard_owners(cells: &[CellSpec], n: usize) -> Vec<usize> {
+    let mut order: Vec<(u64, usize)> = cells
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            let trials = match cell.trials {
+                TrialPolicy::Fixed(trials) => trials,
+                TrialPolicy::Adaptive { max, .. } => max,
+            };
+            let budget = round_budget(cell).unwrap_or(0);
+            (budget.saturating_mul(trials as u64), i)
+        })
+        .collect();
+    order.sort_by_key(|&(budget, i)| (Reverse(budget), i));
+    // Shards past the cell count would stay empty; leaving them out keeps
+    // the heap small whatever `n` is.
+    let mut loads: BinaryHeap<Reverse<(u64, usize)>> = (0..n.min(cells.len()))
+        .map(|shard| Reverse((0, shard)))
+        .collect();
+    let mut owners = vec![0; cells.len()];
+    for (budget, i) in order {
+        if let Some(mut lightest) = loads.peek_mut() {
+            let Reverse((load, shard)) = *lightest;
+            owners[i] = shard;
+            *lightest = Reverse((load.saturating_add(budget), shard));
+        }
+    }
+    owners
 }
 
 /// Stderr progress reporting for long campaign runs. The runner commits in
@@ -461,42 +560,25 @@ impl TopologyCache {
     }
 }
 
-/// Builds and measures one cell in isolation — the entry point fleet worker
-/// processes use for the cells a coordinator assigns them.
+/// Builds and measures one cell in isolation, outside any campaign run.
 ///
 /// Equivalent to the cell's slot in a full [`CampaignRunner`] run: same key,
 /// same measurement, same serialized bytes (the runner's topology cache is
-/// invisible in results, pinned by this module's tests), so shard stores
-/// written from `execute_cell` records merge byte-identically with a
-/// single-process store. `parallel_trials` mirrors the runner's two modes:
-/// `true` lets the cell's trials fan out across cores (right when the caller
-/// runs cells one at a time), `false` runs them sequentially (right when the
-/// caller runs many cells concurrently) — both produce identical
-/// measurements by the scenario runner's parallel-equals-sequential
-/// guarantee.
+/// invisible in results, pinned by this module's tests). The cell's own
+/// [`CellSpec::batch`] flag selects the batch executor. `parallel_trials`
+/// mirrors the runner's two modes: `true` lets the cell's trials fan out
+/// across cores (right when the caller runs cells one at a time), `false`
+/// runs them sequentially (right when the caller runs many cells
+/// concurrently) — both produce identical measurements by the scenario
+/// runner's parallel-equals-sequential guarantee.
 ///
 /// # Errors
 ///
 /// [`CampaignError::Cell`] if the cell fails to build or run.
 pub fn execute_cell(cell: &CellSpec, parallel_trials: bool) -> Result<CellRecord> {
-    execute_cell_batched(cell, parallel_trials, false)
-}
-
-/// [`execute_cell`] with an execution-level batch request on top of the
-/// cell's own [`CellSpec::batch`] flag — what a `--batch` fleet worker runs.
-/// The record (and its serialized bytes) is identical either way.
-///
-/// # Errors
-///
-/// [`CampaignError::Cell`] if the cell fails to build or run.
-pub fn execute_cell_batched(
-    cell: &CellSpec,
-    parallel_trials: bool,
-    batch: bool,
-) -> Result<CellRecord> {
     // A default (empty) cache tracks nothing, so the cell builds its own
-    // topology — correct for a worker that sees cells one at a time.
-    run_cell(cell, parallel_trials, &TopologyCache::default(), batch)
+    // topology.
+    run_cell(cell, parallel_trials, &TopologyCache::default(), false)
 }
 
 /// Builds and measures one cell, sharing the campaign's built topology when
@@ -770,7 +852,7 @@ mod tests {
 
     #[test]
     fn execute_cell_matches_the_full_campaign_run() {
-        // The worker-process entry point must be indistinguishable from the
+        // A cell measured on its own must be indistinguishable from the
         // cell's slot in a campaign run — keys, measurements, trial counts,
         // and serialized bytes — in both trial-parallelism modes.
         let campaign = small_campaign();
@@ -785,6 +867,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn shard_stores_union_to_the_unsharded_store() {
+        let campaign = small_campaign();
+        let full = CampaignRunner::new(&campaign).run_in_memory().unwrap();
+        let mut union: Vec<CellRecord> = Vec::new();
+        for k in 0..3 {
+            let shard = CampaignRunner::new(&campaign)
+                .shard(k, 3)
+                .run_in_memory()
+                .unwrap();
+            union.extend_from_slice(shard.records());
+        }
+        union.sort_by_key(|r| full.records().iter().position(|f| f.key == r.key));
+        assert_eq!(union, full.records());
+
+        for (k, n) in [(0, 0), (2, 2), (5, 3)] {
+            let err = CampaignRunner::new(&campaign)
+                .shard(k, n)
+                .run_in_memory()
+                .unwrap_err();
+            assert!(matches!(err, CampaignError::Spec { .. }), "{k}/{n}: {err}");
+        }
+    }
+
+    #[test]
+    fn shards_balance_worst_case_round_budgets() {
+        // Budgets 200·n + 2000: 14800, 8400, 5200, 3600. The largest cell
+        // takes a shard alone; `i % 2` would pair it with the 16-clique.
+        let campaign = CampaignSpec::named("sizes")
+            .trials(TrialPolicy::Fixed(1))
+            .group(SweepGroup::product(
+                [64, 32, 16, 8].map(|n| TopologySpec::Clique { n }).to_vec(),
+                vec![GlobalAlgorithm::Bgi.into()],
+                vec![AdversarySpec::StaticNone],
+                vec![ProblemSpec::GlobalFrom(0)],
+            ));
+        let cells = campaign.expand().unwrap();
+        assert_eq!(shard_owners(&cells, 2), [0, 1, 1, 1]);
+        // More shards than cells: one cell each, the rest idle.
+        assert_eq!(shard_owners(&cells, 6), [0, 1, 2, 3]);
+        assert_eq!(shard_owners(&cells, 1), [0, 0, 0, 0]);
     }
 
     #[test]

@@ -332,13 +332,14 @@ impl ResultStore {
     /// input (plus `out` itself, when it already exists — so a merge is
     /// resumable and idempotent) and writes them in `spec`'s expansion
     /// order, each kept line carried over **as its original bytes**. Because
-    /// measurements are pure functions of their cell spec, the fleet's
-    /// shard stores union into exactly the store a single-process run
-    /// writes, byte for byte.
+    /// measurements are pure functions of their cell spec, the stores of
+    /// a campaign's static shards
+    /// ([`CampaignRunner::shard`](crate::CampaignRunner::shard)) union into
+    /// exactly the store a single-process run writes, byte for byte.
     ///
     /// Overlapping shards are fine as long as they agree: byte-identical
-    /// duplicate records deduplicate (a cell re-assigned after a worker
-    /// crash lands in two shards), while two records for the same key with
+    /// duplicate records deduplicate (a cell measured again in a second
+    /// store lands in both), while two records for the same key with
     /// different bytes are a hard error — that means non-deterministic or
     /// tampered inputs, and silently picking one would hide it. Each input
     /// loads through [`ResultStore::open`], so torn tails are truncated
@@ -1030,8 +1031,8 @@ mod tests {
 
     #[test]
     fn merge_deduplicates_identical_overlapping_records() {
-        // A cell re-assigned after a worker crash lands in both shards with
-        // byte-identical records; the union keeps one copy.
+        // A cell measured in two stores lands in both with byte-identical
+        // records; the union keeps one copy.
         let a = shard_with("merge-dup-a", &[record(8), record(16)]);
         let b = shard_with("merge-dup-b", &[record(16)]);
         let out = temp_path("merge-dup-out");
@@ -1070,7 +1071,7 @@ mod tests {
 
     #[test]
     fn merge_tolerates_a_torn_tail_in_one_shard() {
-        // A worker killed mid-append leaves a torn final line in its shard;
+        // A shard killed mid-append leaves a torn final line in its store;
         // the merge treats it like any killed-run store: the intact prefix
         // merges, the torn cell counts as missing.
         let a = shard_with("merge-torn-a", &[record(8)]);

@@ -1,7 +1,11 @@
 //! Property tests for campaign grid expansion: the cell list is always
-//! duplicate-free and order-stable, whatever the axes hold.
+//! duplicate-free and order-stable, whatever the axes hold, and static
+//! shards partition it.
 
-use dradio_campaign::{CampaignSpec, RoundsRule, SweepGroup, TrialPolicy};
+use dradio_campaign::{
+    execute_cell, CampaignRunner, CampaignSpec, CellRecord, CellSpec, ResultStore, RoundsRule,
+    SweepGroup, TrialPolicy,
+};
 use dradio_core::algorithms::{GlobalAlgorithm, LocalAlgorithm};
 use dradio_scenario::{AdversarySpec, AlgorithmSpec, ProblemSpec, TopologySpec};
 use proptest::prelude::*;
@@ -85,8 +89,90 @@ fn campaign_strategy() -> impl Strategy<Value = CampaignSpec> {
         })
 }
 
+/// A stand-in record for `cell`: the right key and cell, with one tiny
+/// real measurement. Store lookups go by key, so this is all a pending-set
+/// computation can see of a record.
+fn stand_in_record(cell: &CellSpec, measured: &CellRecord) -> CellRecord {
+    CellRecord {
+        key: cell.key(),
+        cell: cell.clone(),
+        ..measured.clone()
+    }
+}
+
+fn tiny_record() -> CellRecord {
+    let spec = CampaignSpec::named("tiny")
+        .trials(TrialPolicy::Fixed(1))
+        .group(
+            SweepGroup::cell(
+                TopologySpec::Clique { n: 4 },
+                GlobalAlgorithm::Bgi,
+                AdversarySpec::StaticNone,
+                ProblemSpec::GlobalFrom(0),
+            )
+            .rounds(RoundsRule::Fixed(100)),
+        );
+    let cell = &spec.expand().expect("valid")[0];
+    execute_cell(cell, false).expect("a 4-clique broadcast runs")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The `n` static shards of a campaign partition its expansion: they
+    /// are disjoint, their union is the expansion, and each lists its cells
+    /// in expansion order. A shard's membership does not depend on the
+    /// store: against a store already holding an arbitrary subset of the
+    /// cells, each shard's pending cells are exactly its slice minus that
+    /// subset.
+    #[test]
+    fn shards_partition_the_expansion(
+        campaign in campaign_strategy(),
+        n in 1usize..=8,
+        held in any::<u64>(),
+    ) {
+        let cells = campaign.expand().expect("valid");
+        let empty = ResultStore::in_memory();
+        let slices: Vec<Vec<CellSpec>> = (0..n)
+            .map(|k| CampaignRunner::new(&campaign).shard(k, n).pending(&empty))
+            .collect::<Result<_, _>>()
+            .expect("every shard k < n exists");
+
+        let mut owner: Vec<Option<usize>> = vec![None; cells.len()];
+        for (k, slice) in slices.iter().enumerate() {
+            let mut previous: Option<usize> = None;
+            for cell in slice {
+                let i = cells.iter().position(|c| c == cell).ok_or_else(|| {
+                    TestCaseError::fail(format!("shard {k}/{n} holds a cell outside the expansion"))
+                })?;
+                prop_assert!(owner[i].is_none(), "cell {i} is in shards {:?} and {k}", owner[i]);
+                prop_assert!(previous < Some(i), "shard {k}/{n} is out of expansion order");
+                owner[i] = Some(k);
+                previous = Some(i);
+            }
+        }
+        prop_assert!(owner.iter().all(Option::is_some), "the shards miss a cell");
+
+        let measured = tiny_record();
+        let mut store = ResultStore::in_memory();
+        for (i, cell) in cells.iter().enumerate() {
+            if held >> (i % 64) & 1 == 1 {
+                store.append(stand_in_record(cell, &measured)).expect("distinct keys");
+            }
+        }
+        for (k, slice) in slices.iter().enumerate() {
+            let pending = CampaignRunner::new(&campaign)
+                .shard(k, n)
+                .pending(&store)
+                .expect("shard exists");
+            let expected: Vec<CellSpec> = slice
+                .iter()
+                .filter(|cell| !store.contains(&cell.key()))
+                .cloned()
+                .collect();
+            prop_assert_eq!(pending, expected);
+        }
+    }
 
     /// Expansion never yields two cells with the same content key — the
     /// property the resume logic relies on (a key identifies one measurement).

@@ -23,9 +23,7 @@ use crate::markers::{AllowScope, Markers};
 /// Crates whose code feeds serde output, store bytes, or seeded execution —
 /// the scope of the ordering (D1) and wall-clock/ambient-RNG (D2) rules.
 /// `analysis` and `bench` are measurement harnesses: they may time things
-/// and format freely, and nothing they compute enters a store byte. `fleet`
-/// is in scope because shard-store bytes and wire frames must merge
-/// deterministically (its hang detection carries a justified file allow).
+/// and format freely, and nothing they compute enters a store byte.
 pub const DETERMINISM_CRATES: &[&str] = &[
     "graphs",
     "sim",
@@ -33,7 +31,6 @@ pub const DETERMINISM_CRATES: &[&str] = &[
     "core",
     "scenario",
     "campaign",
-    "fleet",
     "facade",
 ];
 

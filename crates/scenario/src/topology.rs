@@ -391,9 +391,8 @@ impl TopologySpec {
     /// estimated bytes the built network occupies under it: both layers plus
     /// the grey-edge table the first trial caches beside them, sized as if
     /// every `G'` edge were grey (an upper bound). `None` when the spec's
-    /// size is not derivable ([`TopologySpec::Custom`]). Campaign checks and
-    /// fleet banners use this to surface memory budgets before anything is
-    /// built.
+    /// size is not derivable ([`TopologySpec::Custom`]). `campaign check`
+    /// uses this to surface memory budgets before anything is built.
     pub fn memory_estimate(&self, choice: BackendChoice) -> Option<(GraphBackend, u64)> {
         let n = self.node_count()?;
         let m = self.expected_edges()?;

@@ -244,7 +244,7 @@ fn bracelet_attack_agrees_across_backends() {
 
 #[test]
 fn campaign_cells_store_identical_bytes_under_every_backend() {
-    use dradio::campaign::{execute_cell, execute_cell_batched};
+    use dradio::campaign::execute_cell;
 
     let scenario = ScenarioSpec {
         topology: TopologySpec::Grid { cols: 6, rows: 5 },
@@ -255,19 +255,19 @@ fn campaign_cells_store_identical_bytes_under_every_backend() {
         max_rounds: Some(400),
         collision_detection: false,
     };
-    let cell = |backend| CellSpec {
+    let cell = |backend, batch| CellSpec {
         scenario: scenario.clone(),
         trials: TrialPolicy::Fixed(3),
         record_mode: RecordMode::None,
         curve: false,
-        batch: false,
+        batch,
         backend,
     };
 
-    let auto = execute_cell(&cell(BackendChoice::Auto), false).unwrap();
-    let dense = execute_cell(&cell(BackendChoice::Dense), false).unwrap();
-    let csr = execute_cell(&cell(BackendChoice::Csr), false).unwrap();
-    let csr_batched = execute_cell_batched(&cell(BackendChoice::Csr), false, true).unwrap();
+    let auto = execute_cell(&cell(BackendChoice::Auto, false), false).unwrap();
+    let dense = execute_cell(&cell(BackendChoice::Dense, false), false).unwrap();
+    let csr = execute_cell(&cell(BackendChoice::Csr, false), false).unwrap();
+    let csr_batched = execute_cell(&cell(BackendChoice::Csr, true), false).unwrap();
 
     // Same measurement (and measurement bytes), same identity key: a forced
     // backend resumes, merges, and dedups against auto-built stores.
