@@ -25,7 +25,7 @@ use dradio_scenario::{AdversarySpec, ProblemSpec, Scenario, ScenarioSpec, Topolo
 use dradio_sim::process::log2_ceil;
 use dradio_sim::sampling::bernoulli;
 use dradio_sim::{
-    Action, BitString, Message, Process, ProcessContext, ProcessFactory, Role, Round,
+    Action, Activity, BitString, Message, Process, ProcessContext, ProcessFactory, Role, Round,
 };
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -102,6 +102,13 @@ impl Process for SharedDecayBroadcaster {
     }
     fn name(&self) -> &'static str {
         "shared-decay"
+    }
+    fn activity(&self) -> Activity {
+        if self.msg.is_some() {
+            Activity::Deaf
+        } else {
+            Activity::Dormant
+        }
     }
 }
 

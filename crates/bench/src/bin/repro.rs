@@ -101,7 +101,7 @@ use dradio_analysis::Table;
 use dradio_campaign::{
     CampaignRunner, CampaignSpec, ResultStore, RoundsRule, StopRule, SweepGroup, TrialPolicy,
 };
-use dradio_core::algorithms::GlobalAlgorithm;
+use dradio_core::algorithms::{GlobalAlgorithm, LocalAlgorithm};
 use dradio_scenario::{AdversarySpec, ProblemSpec, ScenarioSpec, TopologySpec};
 
 fn run_scenario(json: &str, trials: usize) -> ExitCode {
@@ -152,7 +152,9 @@ fn example_scenario() -> String {
 /// allocation — the template for `--campaign`, also exercised by CI. The
 /// second group showcases the completion-targeted stop rule
 /// ([`StopRule::CompletionCi`]) and contention-curve streaming
-/// (`"curve": true`, reported by `campaign report --curves`).
+/// (`"curve": true`, reported by `campaign report --curves`). The third runs
+/// every local broadcast algorithm on a small grid, so the smokes also cover
+/// dormant relays, deaf broadcasters and Geo's awake initialization stage.
 fn example_campaign() -> CampaignSpec {
     CampaignSpec::named("example-clique-sweep")
         .seed(1)
@@ -196,6 +198,15 @@ fn example_campaign() -> CampaignSpec {
             })
             .rounds(RoundsRule::Fixed(960))
             .curve(true),
+        )
+        .group(
+            SweepGroup::product(
+                vec![TopologySpec::Grid { cols: 6, rows: 6 }],
+                LocalAlgorithm::all().into_iter().map(Into::into).collect(),
+                vec![AdversarySpec::StaticNone, AdversarySpec::Iid { p: 0.5 }],
+                vec![ProblemSpec::LocalRandom { count: 6, seed: 3 }],
+            )
+            .rounds(RoundsRule::Fixed(2_000)),
         )
 }
 

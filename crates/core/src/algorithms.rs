@@ -128,9 +128,14 @@ impl std::fmt::Display for LocalAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kinds;
     use crate::problem::{GlobalBroadcastProblem, LocalBroadcastProblem};
     use dradio_graphs::{topology, NodeId};
-    use dradio_sim::{SimConfig, Simulator, StaticLinks};
+    use dradio_sim::{
+        Activity, Feedback, Message, ProcessContext, Role, Round, SimConfig, Simulator, StaticLinks,
+    };
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn algorithm_specs_round_trip_and_keep_their_wire_names() {
@@ -213,6 +218,76 @@ mod tests {
             assert!(
                 problem.verify(&dual, &outcome.history),
                 "{algorithm} produced a bad history"
+            );
+        }
+    }
+
+    #[test]
+    fn global_algorithms_are_dormant_until_data_arrives_then_deaf() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        for algorithm in GlobalAlgorithm::all() {
+            let factory = algorithm.factory(16, 15);
+            let mut source = factory(&ProcessContext::new(NodeId::new(0), 16, 15, Role::Source));
+            source.on_start(&mut rng);
+            assert_eq!(source.activity(), Activity::Deaf, "{algorithm} source");
+
+            let mut relay = factory(&ProcessContext::new(NodeId::new(1), 16, 15, Role::Relay));
+            relay.on_start(&mut rng);
+            assert_eq!(relay.activity(), Activity::Dormant, "{algorithm} relay");
+            let seed = Message::plain(NodeId::new(7), kinds::SEED, 3);
+            for feedback in [
+                Feedback::Silence,
+                Feedback::Collision,
+                Feedback::Received(seed),
+            ] {
+                relay.on_feedback(Round::ZERO, &feedback, &mut rng);
+                assert_eq!(
+                    relay.activity(),
+                    Activity::Dormant,
+                    "{feedback:?} must not wake an uninformed {algorithm} relay"
+                );
+            }
+            let data = Message::plain(NodeId::new(7), kinds::DATA, 3);
+            relay.on_feedback(Round::ZERO, &Feedback::Received(data), &mut rng);
+            assert_eq!(
+                relay.activity(),
+                Activity::Deaf,
+                "informed {algorithm} relay"
+            );
+        }
+    }
+
+    #[test]
+    fn local_decay_and_round_robin_relays_are_dormant_and_broadcasters_deaf() {
+        // Geo's stage-dependent hint has its own test in `local::geo`.
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        for algorithm in [
+            LocalAlgorithm::StaticDecay,
+            LocalAlgorithm::Uniform,
+            LocalAlgorithm::RoundRobin,
+        ] {
+            let factory = algorithm.factory(16, 4);
+            let mut relay = factory(&ProcessContext::new(NodeId::new(1), 16, 4, Role::Relay));
+            relay.on_start(&mut rng);
+            assert_eq!(relay.activity(), Activity::Dormant, "{algorithm} relay");
+            let data = Message::plain(NodeId::new(2), kinds::DATA, 2);
+            relay.on_feedback(Round::ZERO, &Feedback::Received(data), &mut rng);
+            assert_eq!(
+                relay.activity(),
+                Activity::Dormant,
+                "hearing a broadcaster does not make a {algorithm} relay transmit"
+            );
+            let mut broadcaster = factory(&ProcessContext::new(
+                NodeId::new(2),
+                16,
+                4,
+                Role::Broadcaster,
+            ));
+            broadcaster.on_start(&mut rng);
+            assert_eq!(
+                broadcaster.activity(),
+                Activity::Deaf,
+                "{algorithm} broadcaster"
             );
         }
     }

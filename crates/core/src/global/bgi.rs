@@ -10,7 +10,9 @@
 use std::sync::Arc;
 
 use dradio_sim::sampling::bernoulli;
-use dradio_sim::{Action, Feedback, Message, Process, ProcessContext, ProcessFactory, Role, Round};
+use dradio_sim::{
+    Action, Activity, Feedback, Message, Process, ProcessContext, ProcessFactory, Role, Round,
+};
 use rand::RngCore;
 
 use crate::decay::DecaySchedule;
@@ -135,6 +137,16 @@ impl Process for BgiProcess {
 
     fn name(&self) -> &'static str {
         "bgi-decay"
+    }
+
+    fn activity(&self) -> Activity {
+        // Uninformed: no coin, no transmission, only a DATA reception
+        // matters. Informed: every feedback is ignored.
+        if self.message.is_some() {
+            Activity::Deaf
+        } else {
+            Activity::Dormant
+        }
     }
 }
 

@@ -26,7 +26,8 @@ use std::sync::Arc;
 use dradio_sim::process::log2_ceil;
 use dradio_sim::sampling::bernoulli;
 use dradio_sim::{
-    Action, BitString, Feedback, Message, Process, ProcessContext, ProcessFactory, Role, Round,
+    Action, Activity, BitString, Feedback, Message, Process, ProcessContext, ProcessFactory, Role,
+    Round,
 };
 use rand::RngCore;
 
@@ -181,6 +182,16 @@ impl Process for PermutedProcess {
 
     fn name(&self) -> &'static str {
         "permuted-decay"
+    }
+
+    fn activity(&self) -> Activity {
+        // Uninformed: no coin, no transmission, only a DATA reception
+        // matters. Informed: every feedback is ignored.
+        if self.message.is_some() {
+            Activity::Deaf
+        } else {
+            Activity::Dormant
+        }
     }
 }
 

@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use dradio_sim::{Action, Feedback, Message, Process, ProcessContext, ProcessFactory, Role, Round};
+use dradio_sim::{
+    Action, Activity, Feedback, Message, Process, ProcessContext, ProcessFactory, Role, Round,
+};
 use rand::RngCore;
 
 use crate::kinds;
@@ -98,6 +100,16 @@ impl Process for RoundRobinGlobalProcess {
 
     fn name(&self) -> &'static str {
         "round-robin-global"
+    }
+
+    fn activity(&self) -> Activity {
+        // Uninformed: no transmission, only a DATA reception matters.
+        // Informed: every feedback is ignored.
+        if self.message.is_some() {
+            Activity::Deaf
+        } else {
+            Activity::Dormant
+        }
     }
 }
 

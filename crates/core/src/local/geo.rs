@@ -31,7 +31,8 @@ use std::sync::Arc;
 use dradio_sim::process::log2_ceil;
 use dradio_sim::sampling::bernoulli;
 use dradio_sim::{
-    Action, BitString, Feedback, Message, Process, ProcessContext, ProcessFactory, Role, Round,
+    Action, Activity, BitString, Feedback, Message, Process, ProcessContext, ProcessFactory, Role,
+    Round,
 };
 use rand::RngCore;
 
@@ -359,6 +360,18 @@ impl Process for GeoProcess {
     fn name(&self) -> &'static str {
         "geo-local"
     }
+
+    fn activity(&self) -> Activity {
+        // Once inactive (hence committed) a node ignores every feedback; one
+        // without a payload also never transmits and draws no coin.
+        if self.active || self.committed.is_none() {
+            Activity::Awake
+        } else if self.payload.is_some() {
+            Activity::Deaf
+        } else {
+            Activity::Dormant
+        }
+    }
 }
 
 #[cfg(test)]
@@ -563,5 +576,44 @@ mod tests {
             .filter(|d| d.message.kind() == kinds::SEED)
             .count();
         assert!(seed_deliveries > 0, "expected some seed dissemination");
+    }
+
+    #[test]
+    fn activity_leaves_awake_only_once_committed() {
+        let cfg = GeoConfig::scaled(64, 8);
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        // A relay that hears a seed stays awake until the phase boundary
+        // commits it, then sleeps.
+        let mut relay = GeoProcess::new(&ctx(3, Role::Relay, 64, 8), cfg);
+        assert_eq!(relay.activity(), Activity::Awake);
+        let seed = BitString::random(cfg.seed_bits, &mut rng);
+        let m = Message::with_bits(NodeId::new(9), kinds::SEED, 0, seed);
+        relay.on_feedback(Round::new(1), &Feedback::Received(m), &mut rng);
+        assert_eq!(
+            relay.activity(),
+            Activity::Awake,
+            "a heard seed is not a commitment"
+        );
+        let _ = relay.on_round(Round::new(cfg.phase_rounds), &mut rng);
+        assert!(relay.has_committed());
+        assert_eq!(relay.activity(), Activity::Dormant);
+        // Through a whole initialization stage, a node is awake while
+        // uncommitted or active (a leader), and ends dormant without a
+        // payload and deaf with one.
+        for (id, role, last) in [
+            (4, Role::Relay, Activity::Dormant),
+            (5, Role::Broadcaster, Activity::Deaf),
+        ] {
+            let mut p = GeoProcess::new(&ctx(id, role, 64, 8), cfg);
+            for r in 0..=cfg.init_rounds() {
+                let _ = p.on_round(Round::new(r), &mut rng);
+                if !p.has_committed() || p.active {
+                    assert_eq!(p.activity(), Activity::Awake, "{role} at round {r}");
+                } else {
+                    assert_eq!(p.activity(), last, "{role} at round {r}");
+                }
+            }
+            assert_eq!(p.activity(), last);
+        }
     }
 }

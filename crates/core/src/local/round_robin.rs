@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dradio_sim::{Action, Message, Process, ProcessContext, ProcessFactory, Role, Round};
+use dradio_sim::{Action, Activity, Message, Process, ProcessContext, ProcessFactory, Role, Round};
 use rand::RngCore;
 
 use crate::kinds;
@@ -78,6 +78,16 @@ impl Process for RoundRobinLocalProcess {
 
     fn name(&self) -> &'static str {
         "round-robin-local"
+    }
+
+    fn activity(&self) -> Activity {
+        // Relays never transmit and ignore what they hear; broadcasters
+        // ignore every feedback.
+        if self.message.is_some() {
+            Activity::Deaf
+        } else {
+            Activity::Dormant
+        }
     }
 }
 

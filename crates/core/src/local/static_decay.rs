@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use dradio_sim::process::log2_ceil;
 use dradio_sim::sampling::bernoulli;
-use dradio_sim::{Action, Message, Process, ProcessContext, ProcessFactory, Role, Round};
+use dradio_sim::{Action, Activity, Message, Process, ProcessContext, ProcessFactory, Role, Round};
 use rand::RngCore;
 
 use crate::decay::DecaySchedule;
@@ -86,6 +86,16 @@ impl Process for StaticLocalProcess {
 
     fn name(&self) -> &'static str {
         "static-decay-local"
+    }
+
+    fn activity(&self) -> Activity {
+        // Relays never transmit and ignore what they hear; broadcasters
+        // ignore every feedback.
+        if self.message.is_some() {
+            Activity::Deaf
+        } else {
+            Activity::Dormant
+        }
     }
 }
 

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use dradio_sim::sampling::bernoulli;
-use dradio_sim::{Action, Message, Process, ProcessContext, ProcessFactory, Role, Round};
+use dradio_sim::{Action, Activity, Message, Process, ProcessContext, ProcessFactory, Role, Round};
 use rand::RngCore;
 
 use crate::kinds;
@@ -78,6 +78,16 @@ impl Process for UniformLocalProcess {
 
     fn name(&self) -> &'static str {
         "uniform-local"
+    }
+
+    fn activity(&self) -> Activity {
+        // Relays never transmit and ignore what they hear; broadcasters
+        // ignore every feedback.
+        if self.message.is_some() {
+            Activity::Deaf
+        } else {
+            Activity::Dormant
+        }
     }
 }
 

@@ -1,7 +1,9 @@
 //! Property tests for record-mode correctness at the scenario layer: for
 //! random declarative scenarios, `RecordMode::None` and `RecordMode::Full`
 //! produce identical `TrialOutcome`s, and adaptive adversary classes force
-//! history retention no matter what was requested.
+//! history retention no matter what was requested. The engine's counters
+//! account for every node-round exactly once, on the scalar and the batch
+//! executor.
 
 use dradio_core::algorithms::{GlobalAlgorithm, LocalAlgorithm};
 use dradio_scenario::{
@@ -83,6 +85,55 @@ proptest! {
             .collect_trials(2)
             .expect("trials > 0");
         prop_assert_eq!(fast, full);
+    }
+
+    /// Every node-round is exactly one transmission, delivery, collision
+    /// or idle listen: `transmissions + deliveries + collisions +
+    /// idle_listens == rounds × n` for every trial, whether the scalar
+    /// executor (which counts idle listens arithmetically, from the nodes
+    /// it never visits) or the batch executor ran it.
+    #[test]
+    fn node_rounds_are_accounted_exactly_once(
+        topology in arb_topology(),
+        adversary in arb_adversary(),
+        (algorithm, problem) in arb_algorithm_problem(),
+        seed in 0u64..1_000,
+    ) {
+        let scenario = Scenario::on(topology)
+            .algorithm(algorithm)
+            .adversary(adversary)
+            .problem(problem)
+            .seed(seed)
+            .max_rounds(300)
+            .build()
+            .expect("declarative scenarios build");
+        let n = scenario.dual().len();
+        let runner = ScenarioRunner::new(&scenario);
+        let seeds: Vec<u64> = (0..3).map(|t| runner.trial_seed(t)).collect();
+        let mut executor = scenario.executor();
+        let mut outcomes: Vec<_> = seeds
+            .iter()
+            .map(|&s| executor.execute(s, RecordMode::None))
+            .collect();
+        if scenario.is_batchable(RecordMode::None) {
+            let mut batch = scenario.batch_executor().expect("oblivious scenarios batch");
+            let lanes = batch
+                .execute_group(&seeds, RecordMode::None)
+                .expect("a small history-free group runs");
+            for (lane, scalar) in lanes.iter().zip(&outcomes) {
+                prop_assert_eq!(lane.metrics, scalar.metrics);
+            }
+            outcomes.extend(lanes);
+        }
+        for outcome in &outcomes {
+            let m = outcome.metrics;
+            prop_assert_eq!(
+                m.transmissions + m.deliveries + m.collisions + m.idle_listens,
+                m.rounds * n,
+                "{}",
+                m
+            );
+        }
     }
 
     /// Adaptive adversary classes force history retention (runtime

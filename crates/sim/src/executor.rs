@@ -30,8 +30,19 @@
 //!
 //! # How a round is resolved
 //!
-//! 1. Adaptive adversaries get the processes' transmit probabilities, then
-//!    every process picks its action with its private coins.
+//! A round costs `O(n/64 + awake + heard)`, not `O(n)` process calls: the
+//! executor keeps every process's [`Activity`] hint (read after `on_start`
+//! and after every round that called the process) and walks bitsets of the
+//! non-dormant nodes, the awake nodes and the nodes reached this round. A
+//! process that declares no hint is awake and gets every call.
+//!
+//! 1. Adaptive adversaries get the processes' transmit probabilities (0.0
+//!    for dormant nodes, which are not asked), then every non-dormant
+//!    process picks its action with its private coins, in ascending order,
+//!    which yields the ascending transmitter list. Dormant nodes listen; the
+//!    action vector stays `n` long, so the offline adversary's view is
+//!    unchanged. A deaf process gets no further call this round, so its hint
+//!    is re-read right away.
 //! 2. The link process returns a [`LinkDecision`](crate::LinkDecision) —
 //!    an edge list or a bitmask over the network's grey ids
 //!    ([`DualGraph::grey_table`], built on the first trial and shared by
@@ -40,15 +51,19 @@
 //!    name no grey edge as rejected and dropping repeats.
 //! 3. Reception is a transmitter push: each transmitter bumps a saturating
 //!    per-node count (0 / 1 / ≥ 2, plus the last sender) at every neighbor
-//!    in its `G` row and across every active edge of its grey row. The work
-//!    is proportional to the transmitters' degrees, on the dense and the CSR
-//!    backend alike.
-//! 4. Feedback is read off in ascending receiver order — so stop tracking
+//!    in its `G` row and across every active edge of its grey row, and marks
+//!    that neighbor touched. The work is proportional to the transmitters'
+//!    degrees, on the dense and the CSR backend alike.
+//! 4. One ascending pass over the awake and the touched nodes counts
+//!    deliveries and collisions, hands each delivery to stop tracking (so it
 //!    observes deliveries in the same order as any listener-by-listener
-//!    scan — and delivered to the processes; under full recording the round's
-//!    transmitters, deliveries and active grey edges (mask ids ascending,
-//!    or listed edges in first-occurrence order) are appended to the
-//!    history.
+//!    scan), and delivers the feedback each hint asks for: everything to an
+//!    awake process, nothing to a deaf one, only a reception to a dormant
+//!    one, re-reading the hint after each call. Every node the pass skips
+//!    listened to silence, so idle listens are `n − |T| − heard listeners`.
+//! 5. Under full recording the round's transmitters, deliveries and active
+//!    grey edges (mask ids ascending, or listed edges in first-occurrence
+//!    order) are appended to the history.
 
 use std::sync::Arc;
 
@@ -63,7 +78,7 @@ use crate::error::SimError;
 use crate::history::{Delivery, RoundRecord};
 use crate::link::{AdversaryClass, AdversarySetup, AdversaryView, LinkProcess};
 use crate::metrics::Metrics;
-use crate::process::{Assignment, Process, ProcessContext, ProcessFactory};
+use crate::process::{Activity, Assignment, Process, ProcessContext, ProcessFactory};
 use crate::recorder::{RecordMode, Recorder};
 use crate::resolve::ActiveGrey;
 use crate::round::Round;
@@ -330,6 +345,13 @@ impl TrialExecutor {
             process.on_start(&mut self.node_rngs[i]);
         }
 
+        scratch.activity.reset(n);
+        for (u, process) in self.processes.iter().enumerate() {
+            scratch.activity.set(u, process.activity());
+        }
+        // Every action is already `Listen` at probability 0.0.
+        scratch.activity.slept.clear();
+
         let mut completion_round = None;
         let mut rounds_executed = 0usize;
 
@@ -352,22 +374,48 @@ impl TrialExecutor {
         // lint: hot-path
         for round in Round::range(horizon) {
             rounds_executed += 1;
+            let activity = &mut scratch.activity;
+
+            // Nodes that fell dormant last round listen, at probability 0,
+            // until they wake.
+            for &u in &activity.slept {
+                scratch.actions[u as usize] = Action::Listen;
+                scratch.transmit_probs[u as usize] = 0.0;
+            }
+            activity.slept.clear();
 
             // 1. Expected behaviour (visible to adaptive adversaries) must be
             //    captured before any round-r coin is flipped.
             if adaptive {
-                scratch.transmit_probs.clear();
-                scratch
-                    .transmit_probs
-                    .extend(self.processes.iter().map(|p| p.transmit_probability(round)));
+                for w in 0..activity.awake.len() {
+                    let mut bits = activity.awake[w];
+                    while bits != 0 {
+                        let u = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        scratch.transmit_probs[u] = self.processes[u].transmit_probability(round);
+                    }
+                }
             }
 
-            // 2. Processes pick their actions using their private coins.
-            scratch.actions.clear();
-            for (i, p) in self.processes.iter_mut().enumerate() {
-                scratch
-                    .actions
-                    .push(p.on_round(round, &mut self.node_rngs[i]));
+            // 2. Non-dormant processes pick their actions using their private
+            //    coins, in ascending order, which lists the transmitters
+            //    ascending. A deaf process gets no further call this round,
+            //    so its hint is re-read right away.
+            scratch.transmitters.clear();
+            for w in 0..activity.awake.len() {
+                let mut bits = activity.awake[w];
+                while bits != 0 {
+                    let u = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let action = self.processes[u].on_round(round, &mut self.node_rngs[u]);
+                    if action.is_transmit() {
+                        scratch.transmitters.push(NodeId::new(u));
+                    }
+                    scratch.actions[u] = action;
+                    if activity.hint[u] == Activity::Deaf {
+                        activity.set(u, self.processes[u].activity());
+                    }
+                }
             }
 
             // 3. The link process fixes the dynamic edges, seeing only what
@@ -390,14 +438,7 @@ impl TrialExecutor {
 
             // 4. Reception under the collision rule: every transmitter pushes
             //    itself into the saturating per-node counts of its G row and
-            //    its active grey row, then feedback is read off in ascending
-            //    receiver order.
-            scratch.transmitters.clear();
-            for (i, action) in scratch.actions.iter().enumerate() {
-                if action.is_transmit() {
-                    scratch.transmitters.push(NodeId::new(i));
-                }
-            }
+            //    its active grey row, marking every node it reaches.
             metrics.transmissions += scratch.transmitters.len();
             push_reception(
                 self.dual.g(),
@@ -406,61 +447,80 @@ impl TrialExecutor {
                 &scratch.transmitters,
                 &mut scratch.heard,
                 &mut scratch.senders,
+                &mut scratch.touched,
             );
 
-            scratch.feedbacks.clear();
+            // 5. One ascending pass over the awake and the reached nodes
+            //    counts deliveries and collisions, observes deliveries for
+            //    the stop condition, and delivers the feedback each hint
+            //    asks for. Every other node listened to silence.
             // Deliveries are materialized only under full recording; feedback
             // and stop evaluation never need the allocation.
             let mut deliveries: Vec<Delivery> = Vec::new(); // lint: allow(D3) -- Vec::new is allocation-free; pushes happen only under full recording
+            let mut round_deliveries = 0usize;
             let mut round_collisions = 0usize;
-            for u in NodeId::all(n) {
-                let heard = std::mem::take(&mut scratch.heard[u.index()]);
-                let feedback = if scratch.actions[u.index()].is_transmit() {
-                    Feedback::Transmitted
-                } else {
-                    match heard {
-                        0 => {
-                            metrics.idle_listens += 1;
-                            Feedback::Silence
-                        }
-                        1 => {
-                            let sender = NodeId::new(scratch.senders[u.index()] as usize);
-                            let message = scratch.actions[sender.index()]
-                                .message()
-                                // lint: allow(D4) -- senders are only recorded
-                                // from the transmitter list built above
-                                .expect("a recorded sender implies a message");
-                            metrics.deliveries += 1;
-                            self.tracker.observe_one(u, sender, message.kind());
-                            if recorder.wants_history() {
-                                deliveries.push(Delivery {
-                                    receiver: u,
-                                    sender,
-                                    message: message.clone(), // lint: allow(D3) -- full-recording path only
-                                });
+            let activity = &mut scratch.activity;
+            for w in 0..activity.hearing.len() {
+                let mut bits = activity.hearing[w] | std::mem::take(&mut scratch.touched[w]);
+                while bits != 0 {
+                    let u = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let heard = std::mem::take(&mut scratch.heard[u]);
+                    let hint = activity.hint[u];
+                    let feedback = if scratch.actions[u].is_transmit() {
+                        Feedback::Transmitted
+                    } else {
+                        match heard {
+                            0 => Feedback::Silence,
+                            1 => {
+                                let receiver = NodeId::new(u);
+                                let sender = NodeId::new(scratch.senders[u] as usize);
+                                let message = scratch.actions[sender.index()]
+                                    .message()
+                                    // lint: allow(D4) -- senders are only recorded
+                                    // from the transmitter list built above
+                                    .expect("a recorded sender implies a message");
+                                round_deliveries += 1;
+                                self.tracker.observe_one(receiver, sender, message.kind());
+                                if recorder.wants_history() {
+                                    deliveries.push(Delivery {
+                                        receiver,
+                                        sender,
+                                        message: message.clone(), // lint: allow(D3) -- full-recording path only
+                                    });
+                                }
+                                if hint == Activity::Deaf {
+                                    continue;
+                                }
+                                // lint: allow(D3) -- feedback owns its message; a
+                                // broadcast message is a small copyable token
+                                Feedback::Received(message.clone())
                             }
-                            // lint: allow(D3) -- feedback owns its message; a
-                            // broadcast message is a small copyable token
-                            Feedback::Received(message.clone())
-                        }
-                        _ => {
-                            metrics.collisions += 1;
-                            round_collisions += 1;
-                            if self.config.collision_detection() {
-                                Feedback::Collision
-                            } else {
-                                Feedback::Silence
+                            _ => {
+                                round_collisions += 1;
+                                if self.config.collision_detection() {
+                                    Feedback::Collision
+                                } else {
+                                    Feedback::Silence
+                                }
                             }
                         }
+                    };
+                    let deliver = match hint {
+                        Activity::Awake => true,
+                        Activity::Deaf => false,
+                        Activity::Dormant => matches!(feedback, Feedback::Received(_)),
+                    };
+                    if deliver {
+                        self.processes[u].on_feedback(round, &feedback, &mut self.node_rngs[u]);
+                        activity.set(u, self.processes[u].activity());
                     }
-                };
-                scratch.feedbacks.push(feedback);
+                }
             }
-
-            // 5. Deliver feedback to the processes.
-            for (i, feedback) in scratch.feedbacks.iter().enumerate() {
-                self.processes[i].on_feedback(round, feedback, &mut self.node_rngs[i]);
-            }
+            metrics.deliveries += round_deliveries;
+            metrics.collisions += round_collisions;
+            metrics.idle_listens +=
+                n - scratch.transmitters.len() - round_deliveries - round_collisions;
 
             // 6. Record and evaluate the stop condition (already observed
             //    delivery by delivery, in ascending receiver order).
@@ -518,12 +578,11 @@ impl std::fmt::Debug for TrialExecutor {
 /// additionally built per round).
 #[derive(Debug)]
 struct RoundScratch {
-    /// Per-node actions of the current round.
+    /// Per-node actions of the current round (`Listen` for dormant nodes).
     actions: Vec<Action>,
-    /// Per-node transmit probabilities (adaptive adversaries only).
+    /// Per-node transmit probabilities (0.0 for dormant nodes; refreshed
+    /// for adaptive adversaries only).
     transmit_probs: Vec<f64>,
-    /// Per-node end-of-round feedback.
-    feedbacks: Vec<Feedback>,
     /// Transmitting nodes, ascending.
     transmitters: Vec<NodeId>,
     /// The round's active grey edges.
@@ -534,6 +593,11 @@ struct RoundScratch {
     /// Per-node last transmitter heard — the unique sender wherever
     /// `heard` ends at 1.
     senders: Vec<u32>,
+    /// Bit `u` set iff `heard[u]` was bumped this round; cleared as
+    /// feedback is read off.
+    touched: Vec<u64>,
+    /// Every process's activity hint and the node sets it implies.
+    activity: ActivitySet,
 }
 
 impl RoundScratch {
@@ -541,30 +605,98 @@ impl RoundScratch {
         RoundScratch {
             actions: Vec::with_capacity(n),
             transmit_probs: Vec::with_capacity(n),
-            feedbacks: Vec::with_capacity(n),
             transmitters: Vec::with_capacity(n),
             active: ActiveGrey::new(),
             heard: vec![0; n],
             senders: vec![0; n],
+            touched: vec![0; n.div_ceil(64)],
+            activity: ActivitySet::new(n),
         }
     }
 
-    /// Clears every buffer (keeping capacity) so the scratch can serve a new
-    /// execution; within an execution the round loop clears incrementally.
+    /// Restores the start-of-execution state (keeping capacity) so the
+    /// scratch can serve a new execution; within an execution the round
+    /// loop maintains it incrementally.
     fn reset(&mut self) {
+        let n = self.heard.len();
         self.actions.clear();
+        self.actions.resize(n, Action::Listen);
         self.transmit_probs.clear();
-        self.feedbacks.clear();
+        self.transmit_probs.resize(n, 0.0);
         self.transmitters.clear();
         self.heard.fill(0);
+        self.touched.fill(0);
     }
+}
+
+/// The executor's record of every process's [`Activity`] hint, as last read,
+/// with the two node sets the round loop walks.
+#[derive(Debug)]
+struct ActivitySet {
+    /// Per-node hint.
+    hint: Vec<Activity>,
+    /// Bit `u` set iff node `u` is not dormant: its `on_round` is called.
+    awake: Vec<u64>,
+    /// Bit `u` set iff node `u` is awake: every feedback is delivered.
+    hearing: Vec<u64>,
+    /// Nodes that fell dormant this round; their action and transmit
+    /// probability are reset at the start of the next one.
+    slept: Vec<u32>,
+}
+
+impl ActivitySet {
+    fn new(n: usize) -> Self {
+        ActivitySet {
+            hint: Vec::with_capacity(n),
+            awake: Vec::with_capacity(n.div_ceil(64)),
+            hearing: Vec::with_capacity(n.div_ceil(64)),
+            slept: Vec::with_capacity(n),
+        }
+    }
+
+    /// Marks all `n` nodes awake (the state before any hint is read).
+    fn reset(&mut self, n: usize) {
+        self.hint.clear();
+        self.hint.resize(n, Activity::Awake);
+        self.awake.clear();
+        self.awake.resize(n.div_ceil(64), u64::MAX);
+        if let Some(last) = self.awake.last_mut() {
+            *last >>= (64 - n % 64) % 64;
+        }
+        self.hearing.clone_from(&self.awake);
+        self.slept.clear();
+    }
+
+    /// Records node `u`'s freshly read hint.
+    // lint: hot-path
+    #[inline]
+    fn set(&mut self, u: usize, hint: Activity) {
+        if self.hint[u] == hint {
+            return;
+        }
+        self.hint[u] = hint;
+        let (w, bit) = (u / 64, 1u64 << (u % 64));
+        if hint == Activity::Dormant {
+            self.awake[w] &= !bit;
+            self.slept.push(u as u32);
+        } else {
+            self.awake[w] |= bit;
+        }
+        if hint == Activity::Awake {
+            self.hearing[w] |= bit;
+        } else {
+            self.hearing[w] &= !bit;
+        }
+    }
+    // lint: end-hot-path
 }
 
 /// Transmitter-push reception: every transmitter bumps the saturating
 /// `heard` count of each neighbor in its `G` row and over each active grey
-/// edge, recording itself as that neighbor's latest sender. A count that ends
-/// at 1 had exactly one bump, so its recorded sender is the unique
-/// transmitter heard — whatever order the bumps came in.
+/// edge, recording itself as that neighbor's latest sender and setting the
+/// neighbor's `touched` bit. A count that ends at 1 had exactly one bump, so
+/// its recorded sender is the unique transmitter heard — whatever order the
+/// bumps came in.
 // lint: hot-path
 fn push_reception(
     g: &Graph,
@@ -573,11 +705,14 @@ fn push_reception(
     transmitters: &[NodeId],
     heard: &mut [u8],
     senders: &mut [u32],
+    touched: &mut [u64],
 ) {
     for &t in transmitters {
         for &v in g.neighbors(t) {
-            heard[v.index()] = heard[v.index()].saturating_add(1);
-            senders[v.index()] = t.index() as u32;
+            let v = v.index();
+            heard[v] = heard[v].saturating_add(1);
+            senders[v] = t.index() as u32;
+            touched[v / 64] |= 1 << (v % 64);
         }
     }
     if active.len() == 0 {
@@ -586,10 +721,12 @@ fn push_reception(
     for &t in transmitters {
         let (neighbors, ids) = grey.row(t);
         for (&v, &id) in neighbors.iter().zip(ids) {
+            let v = v.index();
             let on = active.contains(id);
-            heard[v.index()] = heard[v.index()].saturating_add(u8::from(on));
+            heard[v] = heard[v].saturating_add(u8::from(on));
+            touched[v / 64] |= u64::from(on) << (v % 64);
             if on {
-                senders[v.index()] = t.index() as u32;
+                senders[v] = t.index() as u32;
             }
         }
     }

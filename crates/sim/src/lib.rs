@@ -100,7 +100,9 @@ pub use link::{
 };
 pub use message::{Message, MessageKind};
 pub use metrics::{Metrics, TrialMetrics};
-pub use process::{Assignment, BatchProfile, Process, ProcessContext, ProcessFactory, Role};
+pub use process::{
+    Activity, Assignment, BatchProfile, Process, ProcessContext, ProcessFactory, Role,
+};
 pub use recorder::{RecordMode, Recorder};
 pub use round::Round;
 pub use stop::StopCondition;

@@ -85,12 +85,36 @@ pub fn log2_ceil(x: usize) -> usize {
 /// A randomized node process.
 ///
 /// One boxed `Process` is created per node by the [`ProcessFactory`] at the
-/// start of an execution. Each round the engine calls [`Process::on_round`]
-/// to obtain the node's action and later [`Process::on_feedback`] with what
-/// the node observed. All randomness must be drawn from the supplied `rng`
-/// (a per-node deterministic stream), never from global state — this is what
-/// makes executions reproducible and what lets the engine enforce the
-/// adversary capability classes.
+/// start of an execution. All randomness must be drawn from the supplied
+/// `rng` (a per-node deterministic stream), never from global state — this
+/// is what makes executions reproducible and what lets the engine enforce
+/// the adversary capability classes.
+///
+/// # Which calls a round makes: the [`Activity`] contract
+///
+/// Semantically, every round every process picks an action with
+/// [`Process::on_round`] and then observes what it heard through
+/// [`Process::on_feedback`]. The scalar executor makes only the calls that
+/// can matter, as declared by [`Process::activity`], which it reads after
+/// [`Process::on_start`] and again after every round in which it called the
+/// process:
+///
+/// * [`Activity::Awake`] (the default) — `on_round` and `on_feedback` are
+///   called every round, exactly as if no hint existed.
+/// * [`Activity::Deaf`] — `on_round` is called every round; `on_feedback`
+///   would be a no-op for every feedback, so it is not called.
+/// * [`Activity::Dormant`] — until the node receives a message, `on_round`
+///   would return [`Action::Listen`] without drawing a coin or changing
+///   state and [`Process::transmit_probability`] would be 0, so neither is
+///   called (the node's action is `Listen` and its probability 0.0 wherever
+///   adversaries see them); only [`Feedback::Received`] is delivered.
+///
+/// A hint is a promise about the process's *current* state: the executor
+/// skips a call only when the hint read after the process's most recent
+/// call allows it. A truthful hint never changes an outcome — executions
+/// are identical with and without it (the root `integration_activity`
+/// suite pins this for every registered algorithm) — while a false one
+/// silently desynchronizes the node's coin stream.
 pub trait Process: Send {
     /// Called once before round 0.
     fn on_start(&mut self, _rng: &mut dyn RngCore) {}
@@ -125,6 +149,13 @@ pub trait Process: Send {
         "process"
     }
 
+    /// Which calls the executor may skip in the process's current state
+    /// (see the [trait documentation](Process) for the contract). The
+    /// default, [`Activity::Awake`], skips nothing.
+    fn activity(&self) -> Activity {
+        Activity::Awake
+    }
+
     /// How the bit-sliced [`BatchExecutor`](crate::BatchExecutor) may drive
     /// this process. The default, [`BatchProfile::Generic`], is always
     /// correct: the batch engine runs one boxed process per lane exactly as
@@ -148,6 +179,20 @@ pub trait Process: Send {
     fn batch_profile(&self) -> BatchProfile {
         BatchProfile::Generic
     }
+}
+
+/// Which per-round calls a process needs in its current state (see
+/// [`Process::activity`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Activity {
+    /// `on_round` and `on_feedback` every round.
+    #[default]
+    Awake,
+    /// `on_round` every round; every feedback is ignored.
+    Deaf,
+    /// Silent and coin-free until a message arrives: only
+    /// [`Feedback::Received`] is delivered.
+    Dormant,
 }
 
 /// How the batch executor may drive a process (see

@@ -88,9 +88,9 @@ pub mod prelude {
         Scenario, ScenarioRunner, ScenarioSpec, TopologySpec,
     };
     pub use dradio_sim::{
-        Action, AdversaryClass, Assignment, ExecutionOutcome, Feedback, LinkFactory, LinkProcess,
-        Message, MessageKind, Process, ProcessContext, ProcessFactory, RecordMode, Role, Round,
-        SimConfig, Simulator, StaticLinks, StopCondition, TrialExecutor,
+        Action, Activity, AdversaryClass, Assignment, ExecutionOutcome, Feedback, LinkFactory,
+        LinkProcess, Message, MessageKind, Process, ProcessContext, ProcessFactory, RecordMode,
+        Role, Round, SimConfig, Simulator, StaticLinks, StopCondition, TrialExecutor,
     };
 }
 
