@@ -91,6 +91,12 @@ impl LinkProcess for IidLinks {
     }
     // lint: end-hot-path
 
+    /// `decide` is exactly one `bernoulli(rng, p)` per grey id, so the
+    /// executor may evaluate the coins on demand instead.
+    fn iid_coins(&self) -> Option<f64> {
+        Some(self.p)
+    }
+
     fn reset(&mut self) -> bool {
         // `grey` is rewritten by `on_start`.
         true

@@ -96,6 +96,38 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// `std::print!` for this binary, except that stdout closed by its reader
+/// (`repro ... | head`) ends the program with exit code 0 instead of a
+/// panic.
+macro_rules! print {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if let Err(e) = write!(std::io::stdout(), $($arg)*) {
+            stdout_failed(e);
+        }
+    }};
+}
+
+/// `std::println!` with [`print!`]'s handling of a closed stdout.
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            stdout_failed(e);
+        }
+    }};
+}
+
+/// Ends the program after a failed write to stdout: a broken pipe means the
+/// reader has all it wants (exit 0); any other error exits 1.
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("could not write to stdout: {e}");
+    std::process::exit(1);
+}
+
 use dradio_analysis::experiments::{self, ExperimentConfig};
 use dradio_analysis::Table;
 use dradio_campaign::{

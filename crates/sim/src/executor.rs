@@ -48,7 +48,15 @@
 //!    ([`DualGraph::grey_table`], built on the first trial and shared by
 //!    every executor holding the same `Arc<DualGraph>`). One resolver turns
 //!    either form into the round's active grey mask, counting proposals that
-//!    name no grey edge as rejected and dropping repeats.
+//!    name no grey edge as rejected and dropping repeats. An oblivious link
+//!    process that declares [`LinkProcess::iid_coins`] `Some(p)` with
+//!    `0 < p < 1` is not asked in a round that records no history: its
+//!    decision would be one `next_u64` coin per grey id, so the executor
+//!    notes the adversary stream's word position `b`, seeks the stream to
+//!    `b + 2·|grey|`, and lets reception evaluate coin `i` from words
+//!    `b + 2i` and `b + 2i + 1` only when it reads grey edge `i` — a whole
+//!    ChaCha block of coins at a time. The stream is counter-mode, so the
+//!    coins, and the outcome, are the ones `decide` would have produced.
 //! 3. Reception is a transmitter push: each transmitter bumps a saturating
 //!    per-node count (0 / 1 / ≥ 2, plus the last sender) at every neighbor
 //!    in its `G` row and across every active edge of its grey row, and marks
@@ -76,12 +84,13 @@ use crate::config::SimConfig;
 use crate::engine::{derive_stream_seed, ExecutionOutcome};
 use crate::error::SimError;
 use crate::history::{Delivery, RoundRecord};
-use crate::link::{AdversaryClass, AdversarySetup, AdversaryView, LinkProcess};
+use crate::link::{AdversaryClass, AdversarySetup, AdversaryView, LinkDecision, LinkProcess};
 use crate::metrics::Metrics;
 use crate::process::{Activity, Assignment, Process, ProcessContext, ProcessFactory};
 use crate::recorder::{RecordMode, Recorder};
-use crate::resolve::ActiveGrey;
+use crate::resolve::{ActiveGrey, LazyCoins};
 use crate::round::Round;
+use crate::sampling::bernoulli_threshold;
 use crate::stop::{StopCondition, StopTracker};
 use crate::Result;
 
@@ -345,6 +354,16 @@ impl TrialExecutor {
             process.on_start(&mut self.node_rngs[i]);
         }
 
+        // An oblivious link process that declares iid coins is not asked
+        // to decide a round that records no history: its coins are
+        // evaluated on demand (`LinkProcess::iid_coins`).
+        let lazy_threshold = match link.iid_coins() {
+            Some(p) if !adaptive && !recorder.wants_history() && p > 0.0 && p < 1.0 => {
+                Some(bernoulli_threshold(p))
+            }
+            _ => None,
+        };
+
         scratch.activity.reset(n);
         for (u, process) in self.processes.iter().enumerate() {
             scratch.activity.set(u, process.activity());
@@ -421,7 +440,16 @@ impl TrialExecutor {
             // 3. The link process fixes the dynamic edges, seeing only what
             //    its class entitles it to (the recorder's history is complete
             //    here: adaptive classes auto-promote to full recording).
-            let decision = {
+            //    Lazy iid coins skip `decide`: the round's coins are the next
+            //    2·|grey| stream words, evaluated as reception reads them.
+            let decision = if let Some(threshold) = lazy_threshold {
+                let base = self.adversary_rng.get_word_pos();
+                self.adversary_rng
+                    .set_word_pos(base + 2 * grey.len() as u128);
+                scratch.coins.start_round(grey.len(), threshold, base);
+                // Never read: a lazy round records no history.
+                LinkDecision::none()
+            } else {
                 let view = AdversaryView::new(
                     round,
                     n,
@@ -429,26 +457,44 @@ impl TrialExecutor {
                     adaptive.then_some(scratch.transmit_probs.as_slice()),
                     offline.then_some(scratch.actions.as_slice()),
                 );
-                link.decide(&view, &mut self.adversary_rng)
+                let decision = link.decide(&view, &mut self.adversary_rng);
+                // Resolve the decision (either form) into the round's active
+                // grey mask; proposals naming no grey edge are rejected.
+                metrics.rejected_link_edges += scratch.active.resolve(grey, &decision);
+                decision
             };
-
-            // Resolve the decision (either form) into the round's active
-            // grey mask; proposals naming no grey edge are rejected.
-            metrics.rejected_link_edges += scratch.active.resolve(grey, &decision);
 
             // 4. Reception under the collision rule: every transmitter pushes
             //    itself into the saturating per-node counts of its G row and
             //    its active grey row, marking every node it reaches.
             metrics.transmissions += scratch.transmitters.len();
-            push_reception(
+            push_reliable(
                 self.dual.g(),
-                grey,
-                &scratch.active,
                 &scratch.transmitters,
                 &mut scratch.heard,
                 &mut scratch.senders,
                 &mut scratch.touched,
             );
+            if lazy_threshold.is_some() {
+                let stream = &self.adversary_rng;
+                push_grey(
+                    grey,
+                    &scratch.transmitters,
+                    &mut scratch.heard,
+                    &mut scratch.senders,
+                    &mut scratch.touched,
+                    |id| scratch.coins.contains(id, stream),
+                );
+            } else if scratch.active.len() > 0 {
+                push_grey(
+                    grey,
+                    &scratch.transmitters,
+                    &mut scratch.heard,
+                    &mut scratch.senders,
+                    &mut scratch.touched,
+                    |id| scratch.active.contains(id),
+                );
+            }
 
             // 5. One ascending pass over the awake and the reached nodes
             //    counts deliveries and collisions, observes deliveries for
@@ -587,6 +633,8 @@ struct RoundScratch {
     transmitters: Vec<NodeId>,
     /// The round's active grey edges.
     active: ActiveGrey,
+    /// The round's grey coins, when they are evaluated on demand.
+    coins: LazyCoins,
     /// Per-node count of transmitters heard this round, saturating (only
     /// 0 / 1 / ≥ 2 matter); zeroed as feedback is read off.
     heard: Vec<u8>,
@@ -607,6 +655,7 @@ impl RoundScratch {
             transmit_probs: Vec::with_capacity(n),
             transmitters: Vec::with_capacity(n),
             active: ActiveGrey::new(),
+            coins: LazyCoins::new(),
             heard: vec![0; n],
             senders: vec![0; n],
             touched: vec![0; n.div_ceil(64)],
@@ -691,17 +740,14 @@ impl ActivitySet {
     // lint: end-hot-path
 }
 
-/// Transmitter-push reception: every transmitter bumps the saturating
-/// `heard` count of each neighbor in its `G` row and over each active grey
-/// edge, recording itself as that neighbor's latest sender and setting the
-/// neighbor's `touched` bit. A count that ends at 1 had exactly one bump, so
-/// its recorded sender is the unique transmitter heard — whatever order the
-/// bumps came in.
+/// Transmitter-push reception over `G`: every transmitter bumps the
+/// saturating `heard` count of each neighbor in its `G` row, recording itself
+/// as that neighbor's latest sender and setting the neighbor's `touched` bit.
+/// A count that ends at 1 had exactly one bump, so its recorded sender is the
+/// unique transmitter heard — whatever order the bumps came in.
 // lint: hot-path
-fn push_reception(
+fn push_reliable(
     g: &Graph,
-    grey: &GreyTable,
-    active: &ActiveGrey,
     transmitters: &[NodeId],
     heard: &mut [u8],
     senders: &mut [u32],
@@ -715,14 +761,23 @@ fn push_reception(
             touched[v / 64] |= 1 << (v % 64);
         }
     }
-    if active.len() == 0 {
-        return;
-    }
+}
+
+/// The same push across every grey edge of a transmitter's grey row for
+/// which `active` holds.
+fn push_grey(
+    grey: &GreyTable,
+    transmitters: &[NodeId],
+    heard: &mut [u8],
+    senders: &mut [u32],
+    touched: &mut [u64],
+    mut active: impl FnMut(u32) -> bool,
+) {
     for &t in transmitters {
         let (neighbors, ids) = grey.row(t);
         for (&v, &id) in neighbors.iter().zip(ids) {
             let v = v.index();
-            let on = active.contains(id);
+            let on = active(id);
             heard[v] = heard[v].saturating_add(u8::from(on));
             touched[v / 64] |= u64::from(on) << (v % 64);
             if on {

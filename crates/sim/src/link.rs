@@ -224,6 +224,29 @@ pub trait LinkProcess: Send {
     /// Chooses the dynamic edges for the round described by `view`.
     fn decide(&mut self, view: &AdversaryView<'_>, rng: &mut dyn RngCore) -> LinkDecision;
 
+    /// Declares the process an independent coin per grey edge, or `None`
+    /// (the default) to promise nothing.
+    ///
+    /// `Some(p)` promises that every [`decide`](LinkProcess::decide) call
+    /// returns exactly the grey-id mask whose bit `i` is
+    /// [`bernoulli(rng, p)`](crate::sampling::bernoulli) of the `i`-th draw
+    /// — one `next_u64` per grey id in id order when `0 < p < 1` — draws
+    /// nothing else from `rng`, and has no other side effect. The executor
+    /// reads the hint once per execution, after
+    /// [`on_start`](LinkProcess::on_start).
+    ///
+    /// For an oblivious process declaring `Some(p)` with `0 < p < 1`,
+    /// [`TrialExecutor`](crate::TrialExecutor) does not call `decide` in a
+    /// round that records no history: it notes the adversary stream's word
+    /// position, seeks the stream past the round's `2 · |grey|` words, and
+    /// evaluates a coin from its two words only when reception reads that
+    /// grey edge. Outcomes are identical either way; a round recorded under
+    /// [`RecordMode::Full`](crate::RecordMode::Full), and every executor
+    /// other than `TrialExecutor`, calls `decide` as usual.
+    fn iid_coins(&self) -> Option<f64> {
+        None
+    }
+
     /// Restores the process to its just-constructed state so the same boxed
     /// value can serve another independent execution, returning `true` on
     /// success.

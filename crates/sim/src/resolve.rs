@@ -15,8 +15,14 @@
 //! in first-occurrence order — are produced only on demand
 //! ([`ActiveGrey::push_edges`]), so a round that records no history never
 //! materializes an edge.
+//!
+//! [`LazyCoins`] is the lazy form of the active grey mask for a link process
+//! that declares [`LinkProcess::iid_coins`](crate::LinkProcess::iid_coins):
+//! no decision is made, and coin `i` is evaluated from the adversary stream
+//! only when reception asks whether grey edge `i` is active.
 
 use dradio_graphs::{Edge, GreyTable};
+use rand_chacha::ChaCha8Rng;
 
 use crate::link::LinkDecision;
 
@@ -129,6 +135,107 @@ impl ActiveGrey {
     }
 }
 
+/// One round's iid grey coins, evaluated on demand from the adversary
+/// stream and reused across rounds and trials.
+///
+/// Coin `i` of a round whose coins start at stream word `base` is
+/// `bernoulli(p)` of the `next_u64` made of words `base + 2i` (low half) and
+/// `base + 2i + 1` (high half) — exactly the draw an eager
+/// [`LinkProcess::iid_coins`](crate::LinkProcess::iid_coins) process makes
+/// for grey id `i`. An unevaluated coin is filled together with every other
+/// coin whose two words lie in the keystream block holding its words — or,
+/// for a coin that straddles a block boundary (possible when `base` is odd),
+/// in the two blocks holding them: grey rows need not be contiguous in id,
+/// but nearby coins are often read together.
+#[derive(Debug, Default)]
+pub(crate) struct LazyCoins {
+    /// Bit `i` set iff coin `i` has been evaluated this round.
+    known: Vec<u64>,
+    /// Bit `i` is coin `i`'s value wherever `known` has bit `i` set.
+    value: Vec<u64>,
+    /// The keystream block holding `base`.
+    first_block: u64,
+    /// `base`'s word index within `first_block`.
+    offset: usize,
+    /// Number of coins (grey edges) per round.
+    count: usize,
+    /// `bernoulli_threshold(p)`: a coin is set iff `word >> 11` is below it.
+    threshold: u64,
+}
+
+impl LazyCoins {
+    /// Creates an empty coin set (buffers grow on first use).
+    pub(crate) fn new() -> Self {
+        LazyCoins::default()
+    }
+
+    /// Starts a round of `count` coins with threshold `threshold` whose
+    /// words begin at stream word `base`; no coin is evaluated yet.
+    pub(crate) fn start_round(&mut self, count: usize, threshold: u64, base: u128) {
+        let words = count.div_ceil(64);
+        self.known.clear();
+        self.known.resize(words, 0);
+        self.value.resize(words, 0);
+        self.first_block = (base >> 4) as u64;
+        self.offset = (base & 15) as usize;
+        self.count = count;
+        self.threshold = threshold;
+    }
+
+    // lint: hot-path
+
+    /// Returns `true` if grey edge `id` is active this round, evaluating its
+    /// coin from `stream`'s keystream if no earlier call did.
+    #[inline]
+    pub(crate) fn contains(&mut self, id: u32, stream: &ChaCha8Rng) -> bool {
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if self.known[w] & bit == 0 {
+            self.evaluate(id as usize, stream);
+        }
+        self.value[w] & bit != 0
+    }
+
+    /// Evaluates every coin whose two words lie in the keystream blocks
+    /// holding coin `id`'s words. Word positions below are relative to
+    /// word 0 of `first_block`.
+    fn evaluate(&mut self, id: usize, stream: &ChaCha8Rng) {
+        let low = self.offset + 2 * id;
+        let (start, end) = (low / 16, (low + 1) / 16);
+        let mut words = [0u32; 32];
+        words[..16]
+            .copy_from_slice(&stream.keystream_block(self.first_block.wrapping_add(start as u64)));
+        if end != start {
+            words[16..].copy_from_slice(
+                &stream.keystream_block(self.first_block.wrapping_add(end as u64)),
+            );
+        }
+        // Coins `j` with `16·start <= offset + 2j` and
+        // `offset + 2j + 2 <= 16·(end + 1)`: at most 16, contiguous.
+        let lo = (16 * start).saturating_sub(self.offset).div_ceil(2);
+        let hi = ((16 * (end + 1) - self.offset) / 2).min(self.count);
+        let mut bits = 0u64;
+        let mut at = self.offset + 2 * lo - 16 * start;
+        for k in 0..hi - lo {
+            let draw = u64::from(words[at]) | u64::from(words[at + 1]) << 32;
+            bits |= u64::from((draw >> 11) < self.threshold) << k;
+            at += 2;
+        }
+        // Write the range's known and value bits, across two mask words
+        // when it straddles one.
+        let filled = (1u64 << (hi - lo)) - 1;
+        let (w, shift) = (lo / 64, lo % 64);
+        self.known[w] |= filled << shift;
+        self.value[w] = self.value[w] & !(filled << shift) | bits << shift;
+        if shift + (hi - lo) > 64 {
+            let back = 64 - shift;
+            self.known[w + 1] |= filled >> back;
+            self.value[w + 1] = self.value[w + 1] & !(filled >> back) | bits >> back;
+        }
+    }
+
+    // lint: end-hot-path
+}
+
 /// The bits of mask word `w` that name a grey id below `count`.
 fn valid_bits(count: usize, w: usize) -> u64 {
     let start = w.saturating_mul(64);
@@ -194,6 +301,37 @@ mod tests {
         // A fresh resolve clears the previous round.
         assert_eq!(active.resolve(table, &LinkDecision::none()), 0);
         assert_eq!(active.len(), 0);
+    }
+
+    #[test]
+    fn lazy_coins_equal_the_eager_draws_at_any_stream_position() {
+        use crate::sampling::bernoulli_threshold;
+        use rand::{RngCore, SeedableRng};
+
+        let stream = ChaCha8Rng::seed_from_u64(17);
+        let mut coins = LazyCoins::new();
+        for base in [0u128, 1, 2, 15, 16, 17, 31, 33, 1027] {
+            for count in [1usize, 7, 8, 9, 63, 64, 65, 200] {
+                for p in [0.1, 0.5, 0.9] {
+                    let threshold = bernoulli_threshold(p);
+                    let mut eager = stream.clone();
+                    eager.set_word_pos(base);
+                    let expected: Vec<bool> = (0..count)
+                        .map(|_| (eager.next_u64() >> 11) < threshold)
+                        .collect();
+                    coins.start_round(count, threshold, base);
+                    // A scattered read order, then every coin again.
+                    let order = (0..count).map(|i| (i * 37 + 11) % count);
+                    for id in order.chain(0..count) {
+                        assert_eq!(
+                            coins.contains(id as u32, &stream),
+                            expected[id],
+                            "base {base} count {count} p {p} id {id}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,43 +38,80 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
+/// The ChaCha8 keystream block number `counter` under `key`.
+fn chacha_block(key: &[u32; 8], counter: u64) -> [u32; 16] {
+    let mut state: [u32; 16] = [
+        0x6170_7865,
+        0x3320_646e,
+        0x7962_2d32,
+        0x6b20_6574,
+        key[0],
+        key[1],
+        key[2],
+        key[3],
+        key[4],
+        key[5],
+        key[6],
+        key[7],
+        counter as u32,
+        (counter >> 32) as u32,
+        0,
+        0,
+    ];
+    let input = state;
+    for _ in 0..ROUNDS / 2 {
+        quarter_round(&mut state, 0, 4, 8, 12);
+        quarter_round(&mut state, 1, 5, 9, 13);
+        quarter_round(&mut state, 2, 6, 10, 14);
+        quarter_round(&mut state, 3, 7, 11, 15);
+        quarter_round(&mut state, 0, 5, 10, 15);
+        quarter_round(&mut state, 1, 6, 11, 12);
+        quarter_round(&mut state, 2, 7, 8, 13);
+        quarter_round(&mut state, 3, 4, 9, 14);
+    }
+    for (word, start) in state.iter_mut().zip(input) {
+        *word = word.wrapping_add(start);
+    }
+    state
+}
+
+/// Word positions wrap at 2⁶⁸: a 64-bit block counter of 16-word blocks.
+const WORD_POS_MASK: u128 = (1 << 68) - 1;
+
 impl ChaCha8Rng {
     fn refill(&mut self) {
-        let mut state: [u32; 16] = [
-            0x6170_7865,
-            0x3320_646e,
-            0x7962_2d32,
-            0x6b20_6574,
-            self.key[0],
-            self.key[1],
-            self.key[2],
-            self.key[3],
-            self.key[4],
-            self.key[5],
-            self.key[6],
-            self.key[7],
-            self.counter as u32,
-            (self.counter >> 32) as u32,
-            0,
-            0,
-        ];
-        let input = state;
-        for _ in 0..ROUNDS / 2 {
-            quarter_round(&mut state, 0, 4, 8, 12);
-            quarter_round(&mut state, 1, 5, 9, 13);
-            quarter_round(&mut state, 2, 6, 10, 14);
-            quarter_round(&mut state, 3, 7, 11, 15);
-            quarter_round(&mut state, 0, 5, 10, 15);
-            quarter_round(&mut state, 1, 6, 11, 12);
-            quarter_round(&mut state, 2, 7, 8, 13);
-            quarter_round(&mut state, 3, 4, 9, 14);
-        }
-        for (word, start) in state.iter_mut().zip(input) {
-            *word = word.wrapping_add(start);
-        }
-        self.buffer = state;
+        self.buffer = chacha_block(&self.key, self.counter);
         self.index = 0;
         self.counter = self.counter.wrapping_add(1);
+    }
+
+    /// The position of the next keystream word this generator returns:
+    /// `next_u32` returns word `get_word_pos()` and advances it by one, and
+    /// `next_u64` returns words `p` and `p + 1` as `lo | hi << 32`.
+    pub fn get_word_pos(&self) -> u128 {
+        ((u128::from(self.counter) << 4) + self.index as u128).wrapping_sub(16) & WORD_POS_MASK
+    }
+
+    /// Seeks the stream to word `word_offset` (taken modulo 2⁶⁸) in O(1):
+    /// at most one keystream block is computed, none when the position
+    /// starts a block.
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        let word_offset = word_offset & WORD_POS_MASK;
+        self.counter = (word_offset >> 4) as u64;
+        self.index = 16;
+        let index = (word_offset & 15) as usize;
+        if index != 0 {
+            self.refill();
+            self.index = index;
+        }
+    }
+
+    /// Keystream block number `block`: words `16·block .. 16·block + 16` of
+    /// this generator's stream, computed from the key alone — the
+    /// generator's position is neither read nor moved. (Not part of the
+    /// crates.io `rand_chacha` API.)
+    pub fn keystream_block(&self, block: u64) -> [u32; 16] {
+        chacha_block(&self.key, block)
     }
 }
 
@@ -210,6 +247,70 @@ mod tests {
                 assert_eq!(fast.next_u32(), slow.next_u32(), "skip {skip} len {len}");
             }
         }
+    }
+
+    #[test]
+    fn set_word_pos_equals_skipping_words() {
+        for pos in [0u128, 1, 15, 16, 17, 33, (1 << 10) + 3] {
+            let mut sought = ChaCha8Rng::seed_from_u64(21);
+            let mut walked = ChaCha8Rng::seed_from_u64(21);
+            sought.next_u64();
+            sought.set_word_pos(pos);
+            for _ in 0..pos {
+                walked.next_u32();
+            }
+            assert_eq!(sought.get_word_pos(), pos);
+            let a: Vec<u32> = (0..40).map(|_| sought.next_u32()).collect();
+            let b: Vec<u32> = (0..40).map(|_| walked.next_u32()).collect();
+            assert_eq!(a, b, "pos {pos}");
+            assert_eq!(sought.get_word_pos(), walked.get_word_pos());
+        }
+    }
+
+    #[test]
+    fn get_word_pos_round_trips_through_fill_bytes_and_next_u64() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        assert_eq!(rng.get_word_pos(), 0);
+        rng.next_u32();
+        assert_eq!(rng.get_word_pos(), 1);
+        rng.next_u64();
+        assert_eq!(rng.get_word_pos(), 3);
+        let mut bytes = [0u8; 61];
+        rng.fill_bytes(&mut bytes);
+        // 61 bytes start 8 chunks of two words each.
+        assert_eq!(rng.get_word_pos(), 19);
+        let pos = rng.get_word_pos();
+        let ahead = rng.next_u64();
+        rng.set_word_pos(pos);
+        assert_eq!(rng.next_u64(), ahead);
+        assert_eq!(rng.get_word_pos(), pos + 2);
+    }
+
+    #[test]
+    fn word_positions_wrap_at_two_to_the_68() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let first = rng.next_u32();
+        rng.set_word_pos((1 << 68) - 1);
+        assert_eq!(rng.get_word_pos(), (1 << 68) - 1);
+        rng.next_u32();
+        assert_eq!(rng.get_word_pos(), 0);
+        assert_eq!(rng.next_u32(), first);
+    }
+
+    #[test]
+    fn keystream_blocks_are_the_stream_in_sixteen_word_chunks() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let probe = rng.clone();
+        for block in 0..4u64 {
+            let words: Vec<u32> = (0..16).map(|_| rng.next_u32()).collect();
+            assert_eq!(
+                probe.keystream_block(block).to_vec(),
+                words,
+                "block {block}"
+            );
+        }
+        // Reading a block moves nothing.
+        assert_eq!(probe.get_word_pos(), 0);
     }
 
     #[test]

@@ -160,15 +160,22 @@ fn render_string(s: &str, out: &mut String) {
 
 // ---- parsing ---------------------------------------------------------------
 
+/// Upstream `serde_json`'s nesting limit: an array or object nested this
+/// deep is an error, so hostile input cannot overflow the parser's stack.
+const RECURSION_LIMIT: u8 = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects that may still be opened inside the current one.
+    remaining_depth: u8,
 }
 
 fn parse(text: &str) -> Result<Value> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        remaining_depth: RECURSION_LIMIT,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -222,8 +229,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at byte {}",
@@ -231,6 +238,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses an array or object one level deeper, failing once
+    /// [`RECURSION_LIMIT`] levels are open.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        self.remaining_depth -= 1;
+        if self.remaining_depth == 0 {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        let value = parse(self);
+        self.remaining_depth += 1;
+        value
     }
 
     fn seq(&mut self) -> Result<Value> {
@@ -443,6 +465,28 @@ mod tests {
         assert!(parse("12 34").is_err());
         assert!(parse("nul").is_err());
         assert!(from_str::<bool>("7").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_like_upstream() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(RECURSION_LIMIT as usize - 1)).is_ok());
+        let err = parse(&nest(RECURSION_LIMIT as usize)).unwrap_err();
+        assert!(
+            err.to_string().starts_with("recursion limit exceeded"),
+            "{err}"
+        );
+        // Deep hostile input errors instead of overflowing the stack.
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(
+            err.to_string().starts_with("recursion limit exceeded"),
+            "{err}"
+        );
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(parse(&objects).is_err());
+        // The limit counts open levels, not values: siblings are free.
+        let wide = format!("[{}[]]", "[[]],".repeat(1000));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]
